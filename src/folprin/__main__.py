@@ -1,0 +1,6 @@
+"""`python -m folprin ...` runs the command-line interface."""
+
+from .driver import main
+
+if __name__ == "__main__":
+    main()

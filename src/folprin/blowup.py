@@ -11,11 +11,10 @@ polynomial cofactor.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Optional, Tuple
+from typing import Optional, Tuple
 
 from .foliation import BudgetExhausted, Derivation, Foliation
-from .kernel import ContextMismatch, Jet, Q, RingContext
+from .kernel import ContextMismatch, Echelon, Jet, Q, RingContext
 from .rees import Center, ReesAlgebra, is_admissible, rational_lcm
 
 EXCEPTIONAL = "s"
@@ -261,26 +260,24 @@ def _mod_s_vectors(gens, ctx, s_index):
 
 def _rational_dependency(vectors):
     """A nontrivial rational kernel vector of the column family, or None.
-    Gaussian elimination keeping the combination that produced each reduced
-    vector."""
-    basis = []  # list of (vec dict, combo dict)
+
+    The rows [v_j | e_j] go through one echelon basis in order.  The first
+    row that reduces into the identity block gives the combination
+    {k: c_k} with sum c_k v_k = 0, scaled so that c_j = 1; it is unique,
+    since the earlier vectors are independent."""
+    keys = {}
+    for vec in vectors:
+        for key in vec:
+            keys.setdefault(key, len(keys))
+    m = len(keys)
+    basis = Echelon()
     for j, vec in enumerate(vectors):
-        cur = dict(vec)
-        combo = {j: Q(1)}
-        for bvec, bcombo, pivot in basis:
-            if pivot in cur and cur[pivot] != 0:
-                factor = cur[pivot] / bvec[pivot]
-                for key, val in bvec.items():
-                    cur[key] = cur.get(key, Q(0)) - factor * val
-                    if cur[key] == 0:
-                        del cur[key]
-                for key, val in bcombo.items():
-                    combo[key] = combo.get(key, Q(0)) - factor * val
-        cur = {k: v for k, v in cur.items() if v != 0}
-        if not cur:
-            return combo
-        pivot = next(iter(cur))
-        basis.append((cur, combo, pivot))
+        row = {keys[key]: c for key, c in vec.items()}
+        row[m + j] = 1
+        lead = basis.add(row)
+        if lead >= m:
+            row = basis.rows[lead]
+            return {k - m: Q(c, row[m + j]) for k, c in row.items()}
     return None
 
 

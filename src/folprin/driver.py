@@ -14,13 +14,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .blowup import (
-    Cobordism, EXCEPTIONAL, EtaleChart, build_cobordant, etale_chart,
-    transform_foliation, transform_rees,
+    EtaleChart, build_cobordant, etale_chart, transform_foliation,
+    transform_rees,
 )
 from .foliation import (
     BudgetExhausted, Derivation, Foliation, INFINITE, NotLogarithmic,
@@ -41,12 +42,8 @@ from .rees import (
 
 @dataclass(frozen=True)
 class RunConfig:
-    truncation: int = 16
     max_steps: int = 20
     mode: str = "controlled"            # controlled | strict, for R and F both
-    sample_strategy: str = "chart-origins"
-    output: str = "text"                # text | json
-    stop_pattern: Optional[InvVector] = None
 
     def __post_init__(self):
         if self.max_steps < 1:
@@ -264,6 +261,22 @@ class ChartPoint:
     skipped: Optional[str] = None    # reason, e.g. irrational root
 
 
+def _integer_root(m: int, n: int) -> Optional[int]:
+    """The exact n-th root of an integer m >= 1, or None: isqrt for n = 2,
+    otherwise integer Newton from an upper bound, which decreases to the
+    floor of the root."""
+    if n == 2:
+        r = isqrt(m)
+    else:
+        r = 1 << -(-m.bit_length() // n)
+        while True:
+            s = ((n - 1) * r + m // r ** (n - 1)) // n
+            if s >= r:
+                break
+            r = s
+    return r if r ** n == m else None
+
+
 def _rational_root(c: Fraction, n: int) -> Optional[Fraction]:
     """The rational n-th root of c, if one exists (positive root for even
     n; sign preserved for odd n)."""
@@ -277,14 +290,7 @@ def _rational_root(c: Fraction, n: int) -> Optional[Fraction]:
             return None
         sign, c = -1, -c
 
-    def iroot(m: int) -> Optional[int]:
-        r = round(m ** (1.0 / n))
-        for cand in (r - 1, r, r + 1):
-            if cand >= 0 and cand ** n == m:
-                return cand
-        return None
-
-    pr, qr = iroot(c.numerator), iroot(c.denominator)
+    pr, qr = _integer_root(c.numerator, n), _integer_root(c.denominator, n)
     if pr is None or qr is None:
         return None
     return sign * Q(pr, qr)
@@ -393,10 +399,7 @@ def _rewrite_derivation(center: Center, d: Derivation) -> Derivation:
 def _coordinate_center(center: Center) -> Center:
     """The same tiers without the chart data (data already rewritten)."""
     return Center(center.context, transverse=center.transverse,
-                  invariant=center.invariant, divisorial=center.divisorial,
-                  aligned_derivations=tuple(
-                      Derivation.partial(center.context, v)
-                      for v, _ in center.transverse))
+                  invariant=center.invariant, divisorial=center.divisorial)
 
 
 def _translate_local(ctx: RingContext, R: ReesAlgebra, F: Foliation,
@@ -452,11 +455,6 @@ def principalize(instance: Instance, config: RunConfig) -> List[TraceStep]:
     for round_no in range(config.max_steps):
         active = [L for L in locals_
                   if not _is_principalized(L.rees, config.mode)]
-        if config.stop_pattern is not None:
-            active = [L for L in active
-                      if inv_at(PointedInstance(L.context, L.rees,
-                                                L.foliation))[0]
-                      != config.stop_pattern]
         if not active:
             return steps
         next_locals: List[_Local] = []
@@ -616,9 +614,7 @@ def _dispatch(args, out) -> int:
         return 0
 
     if args.command == "principalize":
-        config = RunConfig(truncation=args.truncation or inst.context.truncation,
-                           max_steps=args.max_steps, mode=args.mode,
-                           output="json" if args.json else "text")
+        config = RunConfig(max_steps=args.max_steps, mode=args.mode)
         steps = principalize(inst, config)
         if args.json:
             _print(out, json.dumps([s.as_dict() for s in steps], indent=2))
@@ -642,7 +638,3 @@ def _dispatch(args, out) -> int:
 
 def main() -> None:
     sys.exit(cli_main())
-
-
-if __name__ == "__main__":
-    main()

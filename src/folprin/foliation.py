@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
 from .kernel import (
-    ContextMismatch, IdealGens, Jet, Q, RingContext, grlex_key, linsolve,
+    ContextMismatch, IdealGens, Jet, Q, RingContext, linsolve, rank,
 )
 
 MEMBERSHIP_SLACK = 4
@@ -141,10 +141,6 @@ class Derivation:
     __repr__ = __str__
 
 
-def apply_derivation(d: Derivation, f: Jet) -> Jet:
-    return d.apply(f)
-
-
 def lie_bracket(a: Derivation, b: Derivation) -> Derivation:
     if a.context != b.context:
         raise ContextMismatch("derivation contexts differ")
@@ -235,9 +231,7 @@ def jet_module_coeffs(target, gens, degree):
     multiplier jets, or None when no solution exists at this precision.
     """
     if not gens:
-        is_deriv = isinstance(target, Derivation)
-        zero = target.is_zero()
-        return [] if zero else None
+        return [] if target.is_zero() else None
     ctx = gens[0].context
     nvars = len(ctx.variables)
     degree = min(degree, ctx.truncation)
@@ -325,14 +319,6 @@ def check_involutive(F: Foliation):
 
 # ---------------------------------------------------------------------------
 # F-derivative chains and order
-
-def f_apply_ideal(F: Foliation, I: IdealGens) -> IdealGens:
-    gens = list(I.generators)
-    for d in F.generators:
-        for f in I.generators:
-            gens.append(d.apply(f))
-    return IdealGens(I.context, gens)
-
 
 def f_order_at(F: Foliation, I: IdealGens, budget: Optional[int] = None):
     """ord_F of I at the origin: least n with F^n(I) the unit ideal.
@@ -483,33 +469,6 @@ def _log_basis_matrix(F: Foliation):
     return rows
 
 
-def _rank_rational(matrix) -> int:
-    rows = [list(r) for r in matrix]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    col = 0
-    r = 0
-    while r < len(rows) and col < ncols:
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            col += 1
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][col]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col] / pv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-        col += 1
-        rank += 1
-    return rank
-
-
 def _eval_jet(f: Jet, point) -> Fraction:
     acc = Q(0)
     vals = [Q(point.get(v, 0)) if isinstance(point, dict) else Q(point[i])
@@ -542,7 +501,7 @@ def _symbolic_rank(jet_matrix) -> int:
     samples.append([Q(0)] * nvars)
     for pt in samples:
         mat = [[_eval_jet(f, pt) for f in row] for row in jet_matrix]
-        best = max(best, _rank_rational(mat))
+        best = max(best, rank(mat))
     return best
 
 
@@ -554,18 +513,13 @@ def log_smooth_at(F: Foliation) -> bool:
     rows = _log_basis_matrix(F)
     generic = _symbolic_rank(rows)
     const = [[f.constant_term() for f in row] for row in rows]
-    return _rank_rational(const) == generic
+    return rank(const) == generic
 
 
 def sm_rank_at(F: Foliation, point) -> int:
     """Rank of the evaluated coefficient matrix in the plain basis d/dv."""
-    ctx = F.context
-    mat = []
-    for d in F.generators:
-        mat.append([_eval_jet(d.coefficient(v), point) for v in ctx.variables])
-    if not mat:
-        return 0
-    return _rank_rational(mat)
+    return rank([[_eval_jet(d.coefficient(v), point) for v in F.context.variables]
+                 for d in F.generators])
 
 
 def restrict_to_hypersurface(F: Foliation, x1: str) -> Foliation:

@@ -20,15 +20,12 @@ own tier vector.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
-from typing import Optional
 
 from .foliation import (
-    BudgetExhausted, Derivation, Foliation, INFINITE, IdealGens,
-    f_infty, f_order_at, f_order_rees, in_jet_span, membership_degree,
-    restrict_to_hypersurface,
+    BudgetExhausted, Foliation, INFINITE, IdealGens, f_infty, f_order_at,
+    f_order_rees, membership_degree, restrict_to_hypersurface,
 )
-from .kernel import Jet, Q, RingContext
+from .kernel import Jet, Q, RingContext, rank
 from .rectify import CertificateFailure, CoordinateChange, split_foliation
 from .rees import (
     Center, InvValue, InvVector, ReesAlgebra, center_inv, coefficient_rees,
@@ -217,7 +214,6 @@ def inv_at(inst: PointedInstance):
     from .rectify import invert_jet_map
     identity = all(inv_map[u] == Jet.variable(ctx, u) for u in ctx.variables)
     forward = _identity_map(ctx) if identity else invert_jet_map(ctx, inv_map)
-    aligned = tuple(Derivation.partial(ctx, v) for v, _ in by_tier[0])
     center = Center(
         ctx,
         transverse=by_tier[0],
@@ -225,7 +221,6 @@ def inv_at(inst: PointedInstance):
         divisorial=by_tier[2],
         chart=forward,
         inverse_chart=None if identity else inv_map,
-        aligned_derivations=aligned,
     )
     if not center.is_empty() and entries and entries != [fin(0)]:
         if not is_admissible(inst.rees, center):
@@ -243,10 +238,7 @@ def check_transverse(inst: PointedInstance, Y: IdealGens) -> bool:
     equal to the codimension (rank of the generators' linear parts)."""
     vec, _ = inv_at(PointedInstance(inst.context, rees_from_ideal(Y),
                                     inst.foliation))
-    lin_rows = []
-    for g in Y.generators:
-        lin_rows.append([g.coefficient({v: 1}) for v in inst.context.variables])
-    from .foliation import _rank_rational
-    p = _rank_rational(lin_rows) if lin_rows else 0
+    p = rank([[g.coefficient({v: 1}) for v in inst.context.variables]
+              for g in Y.generators])
     return (len(vec) == p
             and all(e == fin(1) for e in vec.entries))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from numbers import Rational
 from typing import Iterable, Mapping
 
 Q = Fraction
@@ -184,10 +185,6 @@ class Jet:
             return None
         return min(self.terms, key=grlex_key)
 
-    def var_degree(self, name: str) -> int:
-        i = self.context.index(name)
-        return max((e[i] for e in self.terms), default=0)
-
     def var_order(self, name: str):
         """Minimal exponent of `name` across terms; None for the zero jet."""
         i = self.context.index(name)
@@ -261,13 +258,18 @@ class Jet:
         return out
 
     def __eq__(self, other):
+        """Jets compare by context and terms; a rational number compares as
+        the constant jet, anything else as unequal."""
         if not isinstance(other, Jet):
-            if self.terms and sum(next(iter(self.terms))) >= 0:
-                return self.constant_term() == other and len(self.terms) <= 1
-            return not self.terms and other == 0
+            if not isinstance(other, Rational):
+                return NotImplemented
+            other = Jet.const(self.context, other)
         return self.context == other.context and self.terms == other.terms
 
     def __hash__(self):
+        # a constant jet equals its constant, so it hashes like it
+        if self.terms.keys() <= {(0,) * len(self.context.variables)}:
+            return hash(self.constant_term())
         return hash((self.context, frozenset(self.terms.items())))
 
     # calculus / structure ---------------------------------------------
@@ -449,10 +451,6 @@ class IdealGens:
     __repr__ = __str__
 
 
-def jet_mul(a: Jet, b: Jet) -> Jet:
-    return a * b
-
-
 # ---------------------------------------------------------------------------
 # parsing
 
@@ -583,47 +581,33 @@ def parse_poly(ctx: RingContext, text: str) -> Jet:
 # ---------------------------------------------------------------------------
 # exact linear algebra over Q (fraction-free echelon elimination on Python ints)
 
-def linsolve(columns, rhs, nrows):
-    """Solve  sum_j x_j * columns[j] = rhs  over Q.
+class Echelon:
+    """A row echelon basis over Q, kept fraction-free: primitive integer
+    rows (sparse, column -> int) keyed by their lowest column.  Ranks,
+    inverses, rational dependencies and linear systems all reduce through
+    `add`; only `monres._local_model` eliminates on its own, because its
+    reduced rows (pivot choice and scale) are its output."""
 
-    `columns` is a list of sparse columns (dict row->Fraction), `rhs` a
-    sparse column, and `nrows` the number of rows.  Returns a list of
-    Fractions or None when inconsistent.  Underdetermined systems return
-    one solution (free unknowns set to 0): the pivots are the columns that
-    lie outside the span of the earlier ones, so the answer is unique.
+    __slots__ = ("rows",)
 
-    The elimination is fraction-free.  Each row is cleared of denominators
-    once and reduced on Python ints against an echelon basis of primitive
-    rows keyed by their lowest column; a row that reduces to 0 = c != 0
-    returns None at once.  Back-substitution runs in Fractions, and every
-    solution is checked exactly against the system before it is returned.
-    """
-    ncols = len(columns)
-    # augmented rows; the rhs sits in column ncols, so it leads a reduced
-    # row only when that row reads 0 = c
-    rows = [{} for _ in range(nrows)]
-    for j, col in enumerate(columns):
-        for i, c in col.items():
-            if c:
-                rows[i][j] = c
-    for i, c in rhs.items():
-        if c:
-            rows[i][ncols] = c
-    basis = {}  # lowest column -> primitive integer row
-    for row in rows:
-        if not row:
-            continue
+    def __init__(self):
+        self.rows = {}
+
+    def add(self, row):
+        """Reduce a sparse row (column -> rational) against the basis and
+        keep what is left.  Returns the lead column of the kept row, or None
+        when the row lies in the span of the basis."""
         den = lcm(*(c.denominator for c in row.values()))
-        row = {j: c.numerator * (den // c.denominator) for j, c in row.items()}
+        row = {j: c.numerator * (den // c.denominator)
+               for j, c in row.items() if c}
+        basis = self.rows
         while row:
             lead = min(row)
-            if lead == ncols:
-                return None
             piv = basis.get(lead)
             if piv is None:
                 g = gcd(*row.values())
                 basis[lead] = {j: c // g for j, c in row.items()}
-                break
+                return lead
             g = gcd(piv[lead], row[lead])
             a, b = piv[lead] // g, row.pop(lead) // g
             row = {j: a * c for j, c in row.items()}
@@ -634,14 +618,72 @@ def linsolve(columns, rhs, nrows):
                         row[j] = s
                     else:
                         del row[j]
-    x = [Q(0)] * ncols
-    for lead in sorted(basis, reverse=True):
-        row = basis[lead]
-        acc = Q(row.get(ncols, 0))
-        for j, c in row.items():
-            if lead < j < ncols:
-                acc -= c * x[j]
-        x[lead] = acc / row[lead]
+        return None
+
+    def solve(self, ncols, rhs_col):
+        """Back-substitute in Fractions: the unknowns are the columns below
+        `ncols`, the right-hand side is column `rhs_col`, free unknowns are
+        set to 0, and rows led at or beyond `ncols` are ignored."""
+        x = [Q(0)] * ncols
+        for lead in sorted(self.rows, reverse=True):
+            if lead >= ncols:
+                continue
+            row = self.rows[lead]
+            acc = Q(row.get(rhs_col, 0))
+            for j, c in row.items():
+                if lead < j < ncols:
+                    acc -= c * x[j]
+            x[lead] = acc / row[lead]
+        return x
+
+
+def rank(matrix) -> int:
+    """Rank over Q of a matrix given as rows of rationals (or ints)."""
+    basis = Echelon()
+    return sum(basis.add(dict(enumerate(r))) is not None for r in matrix)
+
+
+def inverse(matrix):
+    """The inverse (as a list of rows) of a square rational matrix, or None
+    when it is singular.  One elimination on [A | I]: A is singular exactly
+    when a kept row has no entry left in A's columns."""
+    n = len(matrix)
+    basis = Echelon()
+    for i, r in enumerate(matrix):
+        row = dict(enumerate(r))
+        row[n + i] = 1
+        if basis.add(row) >= n:
+            return None
+    columns = [basis.solve(n, n + k) for k in range(n)]
+    return [list(r) for r in zip(*columns)]
+
+
+def linsolve(columns, rhs, nrows):
+    """Solve  sum_j x_j * columns[j] = rhs  over Q.
+
+    `columns` is a list of sparse columns (dict row->Fraction), `rhs` a
+    sparse column, and `nrows` the number of rows.  Returns a list of
+    Fractions or None when inconsistent.  Underdetermined systems return
+    one solution (free unknowns set to 0): the pivots are the columns that
+    lie outside the span of the earlier ones, so the answer is unique.
+
+    The augmented rows go through one `Echelon`; the rhs sits in column
+    `ncols`, so a kept row led there reads 0 = c != 0 and the answer is
+    None at once.  Every solution is checked exactly against the system
+    before it is returned.
+    """
+    ncols = len(columns)
+    rows = [{} for _ in range(nrows)]
+    for j, col in enumerate(columns):
+        for i, c in col.items():
+            rows[i][j] = c
+    for i, c in rhs.items():
+        rows[i][ncols] = c
+    basis = Echelon()
+    for row in rows:
+        if basis.add(row) == ncols:
+            return None
+    x = basis.solve(ncols, ncols)
     lhs = {}
     for col, xj in zip(columns, x):
         if xj:

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from .foliation import (
     BudgetExhausted, Derivation, Foliation, is_f_invariant, log_smooth_at,
-    sm_rank_at, _rank_rational,
+    sm_rank_at,
 )
-from .kernel import IdealGens, Jet, Q, RingContext
+from .kernel import IdealGens, Jet, Q, RingContext, rank
 from .rees import rees_from_ideal
 
 
@@ -77,7 +77,7 @@ class MonomialPresentation:
         return tuple(self.context.variables[self.p:])
 
     def matrix_rank(self) -> int:
-        return _rank_rational([list(r) for r in self.rows]) if self.rows else 0
+        return rank(self.rows)
 
     def full_rank(self) -> int:
         """Generic rank of the presented foliation."""
@@ -238,8 +238,7 @@ def monomial_resolve(M: MonomialPresentation,
     rank(matrix) rounds along every branch; the zero matrix yields the
     empty sequence.
     """
-    from .blowup import (Cobordism, EXCEPTIONAL, build_cobordant,
-                         transform_foliation)
+    from .blowup import build_cobordant, transform_foliation
     from .rees import Center
 
     steps: List[ResolveStep] = []

@@ -17,14 +17,13 @@ fundamental solution mu of mu' = -mu*A, solved degree by degree in x1.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping
 
 from .foliation import (
     BudgetExhausted, Derivation, Foliation, jet_module_coeffs, lie_bracket,
     membership_degree,
 )
-from .kernel import Jet, Q, RingContext
+from .kernel import Jet, Q, RingContext, inverse
 
 
 class CertificateFailure(AssertionError):
@@ -88,14 +87,8 @@ class CoordinateChange:
 
 def invert_jet_map(ctx: RingContext, images: Mapping[str, Jet]) -> dict:
     """Invert an origin-preserving jet map with invertible linear part."""
-    nv = len(ctx.variables)
-    lin = []
-    for v in ctx.variables:
-        row = []
-        for w in ctx.variables:
-            row.append(images[v].coefficient({w: 1}))
-        lin.append(row)
-    ainv = _invert_matrix(lin)
+    ainv = inverse([[images[v].coefficient({w: 1}) for w in ctx.variables]
+                    for v in ctx.variables])
     if ainv is None:
         raise ValueError("coordinate change has singular linear part")
     # old = Ainv * (new - h(old)), h the nonlinear tail; iterate to order N
@@ -135,28 +128,6 @@ def invert_jet_map(ctx: RingContext, images: Mapping[str, Jet]) -> dict:
     return current
 
 
-def _invert_matrix(rows):
-    n = len(rows)
-    aug = [[Q(rows[i][j]) for j in range(n)] + [Q(1) if i == j else Q(0) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if aug[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [a / pv for a in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
 class RectifiedChart:
     """The nested-regular chart produced by rectifying (x1, d)."""
 
@@ -186,10 +157,6 @@ class RectifiedChart:
                 raise ValueError("lift input must live on the hyperplane")
             imgs[v] = self.images[v]
         return f.substitute(imgs, ctx)
-
-
-def _x1_order(f: Jet, x1: str):
-    return f.var_order(x1)
 
 
 def rectify_coordinate(d: Derivation, x1: str, budget: int = None) -> RectifiedChart:
@@ -247,10 +214,6 @@ def rectify_coordinate(d: Derivation, x1: str, budget: int = None) -> RectifiedC
         if img.var_order(z) != 1 and not img.is_zero():
             raise CertificateFailure("divisor variable %s did not rectify to (unit)*%s" % (z, z))
     return RectifiedChart(ctx, x1, chart, dr, budget)
-
-
-def lift(chart: RectifiedChart, f: Jet) -> Jet:
-    return chart.lift(f)
 
 
 def is_independent(nabla: Derivation, x1: str, dx1: Derivation = None,

@@ -14,10 +14,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd
-from typing import Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 from .kernel import ContextMismatch, IdealGens, Jet, Q, RingContext, grlex_key
-from .foliation import BudgetExhausted, Foliation, membership_degree
+from .foliation import BudgetExhausted, Foliation
 
 
 def rational_lcm(values: Sequence[Fraction]) -> Fraction:
@@ -134,10 +134,10 @@ class Center:
     """
 
     __slots__ = ("context", "chart", "inverse_chart",
-                 "transverse", "invariant", "divisorial", "aligned_derivations")
+                 "transverse", "invariant", "divisorial")
 
     def __init__(self, context, transverse=(), invariant=(), divisorial=(),
-                 chart=None, inverse_chart=None, aligned_derivations=()):
+                 chart=None, inverse_chart=None):
         def tier(entries, divisor_flag):
             out = []
             for v, w in entries:
@@ -159,7 +159,6 @@ class Center:
         object.__setattr__(self, "divisorial", tier(divisorial, True))
         object.__setattr__(self, "chart", dict(chart or {}))
         object.__setattr__(self, "inverse_chart", dict(inverse_chart or {}))
-        object.__setattr__(self, "aligned_derivations", tuple(aligned_derivations))
         names = [v for v, _ in self.transverse + self.invariant + self.divisorial]
         if len(set(names)) != len(names):
             raise ValueError("variable repeated across tiers: %r" % names)
@@ -362,9 +361,6 @@ class InvVector:
     def lifted(self) -> "InvVector":
         return InvVector([e.lifted() for e in self.entries])
 
-    def prepend(self, value: InvValue) -> "InvVector":
-        return InvVector((value,) + self.entries)
-
     def __eq__(self, other):
         return isinstance(other, InvVector) and compare_inv(self, other) == 0
 
@@ -381,7 +377,11 @@ class InvVector:
         return iter(self.entries)
 
     def __hash__(self):
-        return hash(self.entries)
+        # compare_inv pads with TOP, so trailing TOP entries do not count
+        n = len(self.entries)
+        while n and self.entries[n - 1].tier == TIER_TOP:
+            n -= 1
+        return hash(self.entries[:n])
 
     def __str__(self):
         return "(%s)" % ", ".join(str(e) for e in self.entries)

@@ -298,7 +298,7 @@ def _tier_shapes(ctx):
 def _brute_force_max(inst):
     """Grid maximum of center_inv over admissible F-aligned candidates."""
     ctx = inst.context
-    from folprin.foliation import _rank_rational
+    from folprin.kernel import rank
     best = None
     for chart_spec in TRIANGULAR_CHARTS:
         if chart_spec and any(v not in ctx.variables or ctx.is_divisor(v)
@@ -319,7 +319,7 @@ def _brute_force_max(inst):
             if trans:
                 rows = [[const[v][i] for v in trans]
                         for i in range(len(inst.foliation))]
-                if _rank_rational(rows) < len(trans):
+                if rank(rows) < len(trans):
                     return False
             sub = [imgs[v] for v, t in shape if t != 0]
             if sub:

@@ -10,7 +10,7 @@ from folprin import (
     parse_poly, transform_derivation, transform_element, transform_foliation,
     transform_rees,
 )
-from folprin.blowup import EXCEPTIONAL
+from folprin.blowup import EXCEPTIONAL, _rational_dependency
 
 
 def ctx2(truncation=12, divisor=()):
@@ -166,3 +166,23 @@ def test_empty_center_rejected():
     ctx = ctx2()
     with pytest.raises(ValueError):
         build_cobordant(Center(ctx))
+
+
+def test_rational_dependency_independent_family_is_none():
+    assert _rational_dependency([]) is None
+    assert _rational_dependency([{"a": Q(1)}, {"a": Q(1), "b": Q(2, 3)},
+                                 {"c": Q(-5)}]) is None
+
+
+def test_rational_dependency_first_dependent_vector_has_coefficient_one():
+    vectors = [{"a": Q(1), "b": Q(1, 2)}, {"b": Q(3)},
+               {"a": Q(2), "b": Q(4)}, {"c": Q(1)}]
+    # v2 = 2*v0 + v1, so the combination is v2 - 2*v0 - v1
+    assert _rational_dependency(vectors) == {0: Q(-2), 1: Q(-1), 2: Q(1)}
+    combo = _rational_dependency([{"a": Q(1, 3)}, {"a": Q(-2, 7)}])
+    assert combo == {0: Q(6, 7), 1: Q(1)}
+
+
+def test_rational_dependency_zero_vector():
+    assert _rational_dependency([{"a": Q(1)}, {}]) == {1: Q(1)}
+    assert _rational_dependency([{}, {"a": Q(1)}]) == {0: Q(1)}

@@ -112,6 +112,25 @@ def test_rational_root_helper():
     assert _rational_root(Q(0), 5) == 0
 
 
+@pytest.mark.parametrize("c, n, root", [
+    (Q((10**20 + 7) ** 3), 3, Q(10**20 + 7)),
+    (Q(-(10**20 + 7) ** 3), 3, Q(-(10**20 + 7))),
+    (Q(3**400), 2, Q(3**200)),
+    (Q(2**100, 3**200), 2, Q(2**50, 3**100)),
+    (Q(-(5**60), 7**35), 5, Q(-(5**12), 7**7)),
+    (Q(1, 4), 2, Q(1, 2)),
+    (Q(-1, 27), 3, Q(-1, 3)),
+    (Q(1), 7, Q(1)),
+    (Q((10**20 + 7) ** 3 + 1), 3, None),
+    (Q(3**400 - 1), 2, None),
+    (Q(2**100, 3), 2, None),
+    (Q(-(5**60)), 4, None),
+    (Q(10**30 + 1), 3, None),
+])
+def test_rational_root_is_exact(c, n, root):
+    assert _rational_root(c, n) == root
+
+
 # -- stopping predicate ------------------------------------------------------
 
 def test_unit_times_divisor_monomial():

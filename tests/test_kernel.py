@@ -1,5 +1,5 @@
 """Jet arithmetic: exactness, ring axioms, substitution, parsing; the exact
-linear solve."""
+echelon core (linear solve, rank, inverse)."""
 
 from fractions import Fraction
 
@@ -10,7 +10,7 @@ from folprin import (
     ContextMismatch, IdealGens, Jet, ParseError, Q, RingContext,
     TruncationOverflow, parse_poly,
 )
-from folprin.kernel import linsolve
+from folprin.kernel import inverse, linsolve, rank
 
 CTX = RingContext(["x", "y"], truncation=8)
 CTX3 = RingContext(["x", "y", "z"], divisor=["z"], truncation=8)
@@ -64,6 +64,25 @@ def test_unit_and_inverse():
     assert not J("x").is_unit()
     with pytest.raises(Exception):
         J("x").inverse()
+
+
+def test_jet_equals_a_number_only_as_the_constant_jet():
+    x = Jet.variable(CTX, "x")
+    assert x != 0 and not (x == 0)
+    assert J("x + 3") != 3
+    assert Jet.zero(CTX) == 0 and Jet.const(CTX, Q(5, 2)) == Q(5, 2)
+    assert Jet.const(CTX, 7) == 7 and 7 == Jet.const(CTX, 7)
+    # anything that is not a rational number compares unequal, without raising
+    for other in ("x", None, [], object()):
+        assert x != other and not (x == other)
+    assert Jet.const(CTX, 1) != "1"
+
+
+def test_jet_hash_agrees_with_equality():
+    for c in (0, 3, Q(-5, 7)):
+        assert hash(Jet.const(CTX, c)) == hash(c)
+        assert len({Jet.const(CTX, c), c}) == 1
+    assert len({J("x + 1"), J("1 + x"), J("x")}) == 2
 
 
 def test_parse_rejects_overdeep_input():
@@ -217,3 +236,64 @@ def test_linsolve_nrows_beyond_rows_in_use():
     sol = linsolve([{0: Q(1, 2)}, {3: Q(2, 5)}], {0: Q(3), 3: Q(1)}, 10)
     assert sol == [Q(6), Q(5, 2)]
     assert all(type(v) is Fraction for v in sol)
+
+
+# -- rank and inverse ----------------------------------------------------------
+
+@pytest.mark.parametrize("matrix, expected", [
+    ([], 0),
+    ([[0, 0], [Q(0), 0]], 0),
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3),
+    ([[Q(1, 3), Q(2, 3)], [Q(-1, 2), -1]], 1),
+    # whole numbers given as ints: exact, never float division
+    ([[0, 0, 3, 0, -3], [-3, 0, 0, 2, Q(-6, 5)], [-6, 0, 3, 4, Q(-27, 5)]], 2),
+    ([[Q(0), Q(0), Q(3), Q(0), Q(-3)], [Q(-3), Q(0), Q(0), Q(2), Q(-6, 5)],
+      [Q(-6), Q(0), Q(3), Q(4), Q(-27, 5)]], 2),
+])
+def test_rank(matrix, expected):
+    assert rank(matrix) == expected
+
+
+def _matmul(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), Q(0)) for col in zip(*b)]
+            for row in a]
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(1, 4))
+    return [[draw(fractions) for _ in range(n)] for _ in range(n)]
+
+
+@given(square_matrices())
+@settings(max_examples=60, deadline=None)
+def test_rank_of_transpose_and_inverse_round_trip(a):
+    n = len(a)
+    assert rank(a) == rank([list(c) for c in zip(*a)])
+    inv = inverse(a)
+    if rank(a) < n:
+        assert inv is None
+    else:
+        identity = [[Q(int(i == j)) for j in range(n)] for i in range(n)]
+        assert _matmul(a, inv) == identity == _matmul(inv, a)
+
+
+def test_inverse_round_trip_with_large_denominators():
+    a = [[Q(1, 10**12), Q(5, 7), Q(0)],
+         [Q(2, 3), Q(0), Q(1)],
+         [Q(0), Q(-1, 10**9 + 7), Q(3, 11)]]
+    inv = inverse(a)
+    identity = [[Q(int(i == j)) for j in range(3)] for i in range(3)]
+    assert _matmul(a, inv) == identity
+    assert all(type(c) is Fraction for row in inv for c in row)
+
+
+def test_inverse_of_singular_matrix_is_none():
+    assert inverse([[1, 2], [2, 4]]) is None
+    assert inverse([[Q(1, 3), 0, 1], [0, 0, 0], [1, 1, 1]]) is None
+    assert inverse([[0]]) is None
+
+
+def test_inverse_one_by_one():
+    assert inverse([[Q(-3, 4)]]) == [[Q(-4, 3)]]
+    assert inverse([[5]]) == [[Q(1, 5)]]

@@ -10,7 +10,7 @@ from folprin import (
     RingContext, invert_jet_map, parse_derivation, parse_poly,
     rectify_coordinate, split_foliation,
 )
-from folprin.rectify import is_independent, lift
+from folprin.rectify import is_independent
 
 CTX = RingContext(["x", "y"], truncation=10)
 CTXD = RingContext(["x", "y"], divisor=["y"], truncation=10)
@@ -27,7 +27,7 @@ def D(text, ctx=CTX):
 def test_trivial_rectification():
     ch = rectify_coordinate(D("d/dx"), "x")
     assert ch.images["y"] == J("y")
-    assert lift(ch, parse_poly(CTX.drop("x"), "y")) == J("y")
+    assert ch.lift(parse_poly(CTX.drop("x"), "y")) == J("y")
 
 
 def test_exponential_example():

@@ -107,6 +107,14 @@ def test_invvalue_tiers_and_lift():
         InvValue(0, -1)
 
 
+def test_invvector_hash_ignores_trailing_top_padding():
+    short, padded = InvVector((fin(2),)), InvVector((fin(2), TOP))
+    assert short == padded and hash(short) == hash(padded)
+    assert len({short, padded, InvVector((fin(2), TOP, TOP))}) == 1
+    assert len({InvVector(()), InvVector((TOP,))}) == 1
+    assert len({short, InvVector((TOP, fin(2)))}) == 2
+
+
 def test_footnote_chain():
     chain = [
         InvVector([fin(2), fin(3)]),
