@@ -417,23 +417,28 @@ def _translate_local(ctx: RingContext, R: ReesAlgebra, F: Foliation,
         ctx2 = ctx
     # rename first so translations off a divisor hyperplane act in the
     # context that no longer flags the moved variable
-    R2 = ReesAlgebra(ctx2, [(f.rename(ctx2).translate(shift), b)
-                            for f, b in R.generators])
-    F2 = Foliation(ctx2, [
-        Derivation(ctx2, {v: c.rename(ctx2).translate(shift)
-                          for v, c in d.coefficients.items()
-                          if not c.rename(ctx2).translate(shift).is_zero()})
-        for d in F.generators])
-    return ctx2, R2, F2
+    return ctx2, R.rename(ctx2).translate(shift), F.rename(ctx2).translate(shift)
+
+
+def _blow_up(center: Center, R: ReesAlgebra, F: Foliation, mode: str):
+    """Rewrite (R, F) into the center's aligned chart and blow up there:
+    (cobordism, transformed R, transformed F) in the given mode."""
+    ctx = R.context
+    Ra = ReesAlgebra(ctx, [(center.rewrite(f), b) for f, b in R.generators])
+    Fa = Foliation(ctx, [_rewrite_derivation(center, d) for d in F])
+    B = build_cobordant(_coordinate_center(center))
+    return B, transform_rees(B, Ra, mode=mode), transform_foliation(B, Fa, mode=mode)
 
 
 @dataclass(eq=False)
 class _Local:
-    """One origin-pointed tracked instance."""
+    """One origin-pointed tracked instance, with its (InvVector, Center)
+    once the drop certificate has computed it."""
     context: RingContext
     rees: ReesAlgebra
     foliation: Foliation
     branch: str = ""
+    inv: Optional[Tuple[InvVector, Center]] = None
 
 
 def principalize(instance: Instance, config: RunConfig) -> List[TraceStep]:
@@ -462,33 +467,27 @@ def principalize(instance: Instance, config: RunConfig) -> List[TraceStep]:
             if L not in active:
                 next_locals.append(L)
                 continue
-            vec, center = inv_at(PointedInstance(L.context, L.rees, L.foliation))
+            vec, center = L.inv or inv_at(
+                PointedInstance(L.context, L.rees, L.foliation))
             if center.is_empty():
                 raise CertificateFailure(
                     "no center at branch %r yet the data is not principal"
                     % L.branch)
-            # rewrite into the aligned chart, then blow up coordinates
-            Ra = ReesAlgebra(L.context,
-                             [(center.rewrite(f), b) for f, b in L.rees.generators])
-            Fa = Foliation(L.context,
-                           [_rewrite_derivation(center, d) for d in L.foliation])
-            B = build_cobordant(_coordinate_center(center))
-            Rt = transform_rees(B, Ra, mode=config.mode)
-            Ft = transform_foliation(B, Fa, mode=config.mode)
+            B, Rt, Ft = _blow_up(center, L.rees, L.foliation, config.mode)
             after = []
             for ci in B.center.variables():
                 shift = {v: Q(0) for v in B.target.variables}
                 shift[B.name_map[ci]] = Q(1)
                 c2, r2, f2 = _translate_local(B.target, Rt, Ft, shift)
                 child_label = (L.branch + "/" if L.branch else "") + ci
-                child = _Local(c2, r2, f2, child_label)
-                vec2, _ = inv_at(PointedInstance(c2, r2, f2))
+                child_inv = inv_at(PointedInstance(c2, r2, f2))
+                vec2 = child_inv[0]
                 if compare_inv(vec2, vec) >= 0:
                     raise CertificateFailure(
                         "invariant failed to drop at chart %s: %s -> %s"
                         % (child_label, vec, vec2))
                 after.append((ci, vec2))
-                next_locals.append(child)
+                next_locals.append(_Local(c2, r2, f2, child_label, child_inv))
             steps.append(TraceStep(
                 index=round_no, branch=L.branch, before=vec, center=center,
                 cobordism_summary=str(B), after=tuple(after)))
@@ -595,17 +594,11 @@ def _dispatch(args, out) -> int:
         center = _pick_center(inst)
         if center.is_empty():
             raise ValueError("empty center: nothing to blow up")
-        Ra = ReesAlgebra(inst.context, [(center.rewrite(f), b)
-                                        for f, b in inst.rees.generators])
-        Fa = Foliation(inst.context, [_rewrite_derivation(center, d)
-                                      for d in inst.foliation])
-        B = build_cobordant(_coordinate_center(center))
-        _print(out, str(B))
         mode = args.mode
-        Rt = transform_rees(B, Ra, mode=mode)
+        B, Rt, Ft = _blow_up(center, inst.rees, inst.foliation, mode)
+        _print(out, str(B))
         for f, b in Rt.generators:
             _print(out, "%s transform: %s @ %s" % (mode, f, b))
-        Ft = transform_foliation(B, Fa, mode=mode)
         for d in Ft.generators:
             _print(out, "%s foliation: %s" % (mode, d))
         if args.chart:

@@ -7,10 +7,13 @@ sheaf, involutive up to truncation.
 
 Module membership (involutivity, F-invariance, stabilization of derivative
 chains) is decided by exact linear algebra over Q on monomial multiples up
-to a degree bound, never by Groebner bases.  Every verdict is therefore a
-"to precision D" verdict; the bound is chosen as the degree of the data plus
-a slack, capped by the remaining truncation budget, and chain iterations
-that exhaust the budget raise BudgetExhausted instead of guessing.
+to a degree bound, never by Groebner bases.  Every such verdict is therefore
+a "to precision D" verdict; the bound is chosen as the degree of the data
+plus a slack, capped by the remaining truncation budget, and chain
+iterations that exhaust the budget raise BudgetExhausted instead of
+guessing.  The one exception is whether F equals D^log: by Nakayama's lemma
+that is the rank of F's constant terms in the log basis (`log_rank_at`),
+an exact power-series verdict that reads only degree 0.
 """
 
 from __future__ import annotations
@@ -505,15 +508,20 @@ def _symbolic_rank(jet_matrix) -> int:
     return best
 
 
+def log_rank_at(F: Foliation) -> int:
+    """Rank at the origin of F in the log basis: the rank of the constant
+    terms of its log-basis matrix.  F lies in the free module D^log, so by
+    Nakayama's lemma F = D^log exactly when this rank is the number of
+    variables."""
+    return rank([[f.constant_term() for f in row] for row in _log_basis_matrix(F)])
+
+
 def log_smooth_at(F: Foliation) -> bool:
     """Lemma-7.2 style test at the origin: the constant-term matrix in the
     log basis has rank equal to the generic rank of the presentation."""
     if F.is_zero():
         return True
-    rows = _log_basis_matrix(F)
-    generic = _symbolic_rank(rows)
-    const = [[f.constant_term() for f in row] for row in rows]
-    return rank(const) == generic
+    return log_rank_at(F) == _symbolic_rank(_log_basis_matrix(F))
 
 
 def sm_rank_at(F: Foliation, point) -> int:

@@ -10,7 +10,10 @@ a.
 
 Case II (infinite order): saturate R under F at fixed degrees, then enlarge
 the foliation (F -> D^log -> D, clearing divisor flags on the last step) and
-tier-lift the recursive answer by one infinity marker.
+tier-lift the recursive answer by one infinity marker.  Whether F already
+equals D^log is one exact rank: F lies in the free module D^log, so by
+Nakayama's lemma F = D^log exactly when the constant terms of F in the log
+basis have rank n (`foliation.log_rank_at`).
 
 The returned center is certified on the way out: admissibility of the input
 R and agreement between the recursion's invariant vector and the center's
@@ -22,8 +25,8 @@ from __future__ import annotations
 import itertools
 
 from .foliation import (
-    BudgetExhausted, Foliation, INFINITE, IdealGens, f_infty, f_order_at,
-    f_order_rees, membership_degree, restrict_to_hypersurface,
+    BudgetExhausted, Foliation, INFINITE, IdealGens, f_infty, f_order_rees,
+    log_rank_at, restrict_to_hypersurface,
 )
 from .kernel import Jet, Q, RingContext, rank
 from .rectify import CertificateFailure, CoordinateChange, split_foliation
@@ -53,16 +56,21 @@ def find_maximal_contact(inst: PointedInstance, a):
     """First maximal contact element in deterministic order: generators of
     R by index, derivative words over F generators in shortlex.
 
+    a = min ord_F(f)/b, so every generator has ord_F(f) >= a*b; since
+    ord_F(f) is the least length of a derivative word turning f into a
+    unit, a word of length a*b does so exactly when ord_F(f) = a*b.  Words
+    of that length are searched directly, with no F-order recomputed.
+
     Returns (x1 jet normalized to unit linear coefficient, word, d).
     """
-    R, F, ctx = inst.rees, inst.foliation, inst.context
+    R, F = inst.rees, inst.foliation
     a = Q(a)
+    k = len(F.generators)
     for f, b in R.generators:
-        o = f_order_at(F, IdealGens(ctx, [f]))
-        if o == INFINITE or Q(o) != a * b:
+        n = a * b
+        if n.denominator != 1:
             continue
-        k = len(F.generators)
-        for word in itertools.product(range(k), repeat=o - 1):
+        for word in itertools.product(range(k), repeat=int(n) - 1):
             g = f
             dead = False
             for i in word:
@@ -96,20 +104,6 @@ def _contact_variable(ctx: RingContext, x1: Jet) -> str:
 
 def _identity_map(ctx: RingContext) -> dict:
     return {v: Jet.variable(ctx, v) for v in ctx.variables}
-
-
-def _foliations_equal_span(F: Foliation, G: Foliation) -> bool:
-    """G subset span(F) and F subset span(G), to membership precision."""
-    from .foliation import jet_module_coeffs
-    allgens = list(F.generators) + list(G.generators)
-    deg = membership_degree(F.context, allgens)
-    for d in G.generators:
-        if jet_module_coeffs(d, list(F.generators), deg) is None:
-            return False
-    for d in F.generators:
-        if jet_module_coeffs(d, list(G.generators), deg) is None:
-            return False
-    return True
 
 
 def _worker(ctx: RingContext, R: ReesAlgebra, F: Foliation, depth: int):
@@ -166,10 +160,10 @@ def _case_one(ctx, R, F, a, depth):
 
 def _case_two(ctx, R, F, depth):
     Rinf = f_infty(F, R)
-    dlog = Foliation.full(ctx)
-    if not _foliations_equal_span(F, dlog):
+    if log_rank_at(F) < len(ctx.variables):
         # enlarge F to the log tangent sheaf; one infinity marker
-        sub_entries, sub_tiers, sub_map = _worker(ctx, Rinf, dlog, depth + 1)
+        sub_entries, sub_tiers, sub_map = _worker(ctx, Rinf, Foliation.full(ctx),
+                                                  depth + 1)
         entries = [e.lifted() for e in sub_entries]
         tiers = [(v, w, min(t + 1, 2)) for v, w, t in sub_tiers]
         return entries, tiers, sub_map

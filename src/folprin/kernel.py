@@ -101,6 +101,15 @@ def grlex_key(exp):
     return (sum(exp), exp)
 
 
+def scalar_multiple(a: Mapping, b: Mapping) -> bool:
+    """Whether the sparse term dicts a and b (no zero values) differ by one
+    rational factor: the same keys and a constant ratio a[k] / b[k]."""
+    if a.keys() != b.keys():
+        return False
+    k0 = next(iter(a), None)
+    return k0 is None or all(c * b[k0] == b[k] * a[k0] for k, c in a.items())
+
+
 class Jet:
     """A truncated power series: sparse exponent->Fraction map of total
     degree <= the context truncation.  Terms with zero coefficient are

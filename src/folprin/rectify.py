@@ -23,7 +23,7 @@ from .foliation import (
     BudgetExhausted, Derivation, Foliation, jet_module_coeffs, lie_bracket,
     membership_degree,
 )
-from .kernel import Jet, Q, RingContext, inverse
+from .kernel import Jet, Q, RingContext, inverse, scalar_multiple
 
 
 class CertificateFailure(AssertionError):
@@ -248,7 +248,7 @@ def split_foliation(F: Foliation, x1: str, d: Derivation, budget: int = None):
     chart = rectify_coordinate(d, x1, budget)
     dx1 = Derivation.partial(ctx, x1)
     # push generators into rectified coordinates and kill their d/dx1 part
-    corrected = []
+    corrected, kept_terms = [], []
     for g in F.generators:
         gg = chart.change.push_derivation(g)
         # coefficients are certified only below the rectification budget
@@ -257,9 +257,13 @@ def split_foliation(F: Foliation, x1: str, d: Derivation, budget: int = None):
         cx = gg.coefficient(x1)
         if not cx.is_zero():
             gg = gg - dx1.scale(cx)
-        if not gg.is_zero():
+        # drop scalar multiples of a kept generator, compared on the
+        # flattened terms {(v, e): c}
+        flat = {(v, e): a for v, c in gg.coefficients.items()
+                for e, a in c.terms.items()}
+        if flat and not any(scalar_multiple(flat, h) for h in kept_terms):
             corrected.append(gg)
-    corrected = _prune_scalar_multiples(corrected)
+            kept_terms.append(flat)
     if not corrected:
         return chart, [dx1]
     # bracket matrix: [d/dx1, H_i] = sum_j A_ij H_j
@@ -281,37 +285,6 @@ def split_foliation(F: Foliation, x1: str, d: Derivation, budget: int = None):
             raise CertificateFailure("split generator %s is not independent of (%s, d/d%s)"
                                      % (nb, x1, x1))
     return chart, [dx1] + nablas
-
-
-def _prune_scalar_multiples(gens):
-    out = []
-    for g in gens:
-        dup = False
-        for h in out:
-            if g.coefficients.keys() != h.coefficients.keys():
-                continue
-            ratio = None
-            ok = True
-            for v, c in g.coefficients.items():
-                hc = h.coefficients[v]
-                if c.terms.keys() != hc.terms.keys():
-                    ok = False
-                    break
-                for e, a in c.terms.items():
-                    r = a / hc.terms[e]
-                    if ratio is None:
-                        ratio = r
-                    elif r != ratio:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                dup = True
-                break
-        if not dup:
-            out.append(g)
-    return out
 
 
 def _x1_decompose(f: Jet, x1: str, ctx: RingContext):

@@ -16,7 +16,9 @@ from itertools import zip_longest
 from math import gcd
 from typing import Iterable, Sequence, Tuple
 
-from .kernel import ContextMismatch, IdealGens, Jet, Q, RingContext, grlex_key
+from .kernel import (
+    ContextMismatch, IdealGens, Jet, Q, RingContext, grlex_key, scalar_multiple,
+)
 from .foliation import BudgetExhausted, Foliation
 
 
@@ -254,30 +256,11 @@ def coefficient_rees(R: ReesAlgebra, F: Foliation, a) -> ReesAlgebra:
                 break
             deg = b - Q(alpha) / a
             for h in new:
-                if not _scalar_duplicate(h, deg, out):
+                if not any(d == deg and scalar_multiple(h.terms, g.terms)
+                           for g, d in out):
                     out.append((h, deg))
             frontier = new
     return ReesAlgebra(ctx, out)
-
-
-def _scalar_duplicate(h: Jet, deg, gens) -> bool:
-    for g, d in gens:
-        if d != deg:
-            continue
-        if g.terms.keys() != h.terms.keys():
-            continue
-        ratio = None
-        ok = True
-        for e, c in g.terms.items():
-            r = h.terms[e] / c
-            if ratio is None:
-                ratio = r
-            elif r != ratio:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,55 @@
+"""Byte-identity of the CLI on the checked-in instances.
+
+`golden/cli.json` holds the output and exit code of `principalize --json`
+and `inv --json` on every `instances/*.fol` but ex510 (whose invariant
+computation does not finish), at truncations 6, 7 and 8, in both modes.
+A change that should keep every answer must keep this file.
+
+Regenerate it (only when an answer is meant to change) with
+`PYTHONPATH=src python tests/test_cli_golden.py`.
+"""
+
+import io
+import json
+from pathlib import Path
+
+from folprin import cli_main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.json"
+LEFT_OUT = {"ex510.fol"}
+
+
+def _cases():
+    for path in sorted((ROOT / "instances").glob("*.fol")):
+        if path.name in LEFT_OUT:
+            continue
+        for n in (6, 7, 8):
+            for mode in ("controlled", "strict"):
+                for command in ("principalize", "inv"):
+                    key = "%s %s N=%d %s" % (command, path.name, n, mode)
+                    yield key, [command, str(path), "--json", "--mode", mode,
+                                "--truncation", str(n)]
+
+
+def cli_outputs() -> dict:
+    out = {}
+    for key, argv in _cases():
+        buf = io.StringIO()
+        code = cli_main(argv, out=buf)
+        out[key] = {"exit": code, "output": buf.getvalue()}
+    return out
+
+
+def test_cli_outputs_match_golden():
+    want = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    got = cli_outputs()
+    assert sorted(got) == sorted(want)
+    differ = [key for key in want if got[key] != want[key]]
+    assert not differ, "CLI output changed for: %s" % ", ".join(differ)
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(cli_outputs(), indent=1, sort_keys=True) + "\n",
+                      encoding="utf-8")

@@ -175,6 +175,27 @@ def test_principalize_strict_mode():
     assert steps and str(steps[0].before) == "(5, inf+1)"
 
 
+def test_principalize_computes_each_invariant_once(monkeypatch):
+    """The drop certificate's invariant of a chart is reused when that
+    chart is blown up next round: ex513 (controlled, N = 6) needs one call
+    for the source and one per chart, two charts in round 0 and two on
+    each of the two branches in round 1 (9 calls if recomputed)."""
+    import folprin.driver as driver
+    calls = []
+    real = driver.inv_at
+
+    def counting(inst):
+        calls.append(inst)
+        return real(inst)
+
+    monkeypatch.setattr(driver, "inv_at", counting)
+    with open(ex("ex513.fol"), encoding="utf-8") as fh:
+        inst = parse_instance(fh.read(), truncation=6)
+    steps = principalize(inst, RunConfig(mode="controlled"))
+    charts = sum(len(s.after) for s in steps)
+    assert len(calls) == 1 + charts == 7
+
+
 def test_budget_exhaustion_reported():
     from folprin import BudgetExhausted
     inst = parse_instance("ring x y\nideal x*y\n")
@@ -238,3 +259,13 @@ def test_cli_error_exit_codes(tmp_path):
     assert code == 1 and "error" in text
     code, _ = run_cli(["inv", str(tmp_path / "missing.fol")])
     assert code == 1
+
+
+def test_cli_blowup_failure_prints_no_partial_report(tmp_path):
+    # (x) is not admissible for the center (y): the controlled transform
+    # fails, and the report is printed only for a finished blow-up
+    inst = tmp_path / "bad_center.fol"
+    inst.write_text("ring x y\nideal x\ncenter y@1\n")
+    code, text = run_cli(["blowup", str(inst)])
+    assert code == 1
+    assert text == "error: center is not admissible for this Rees algebra\n"

@@ -11,7 +11,9 @@ from folprin import (
     is_f_invariant, lie_bracket, log_smooth_at, parse_derivation, parse_poly,
     rees_from_ideal, sm_rank_at,
 )
-from folprin.foliation import in_jet_span, jet_module_coeffs, membership_degree
+from folprin.foliation import (
+    in_jet_span, jet_module_coeffs, log_rank_at, membership_degree,
+)
 
 CTX = RingContext(["x", "y"], truncation=8)
 CTXD = RingContext(["x", "y"], divisor=["x"], truncation=8)
@@ -128,6 +130,43 @@ def test_f_infty_saturates():
 
 
 # -- rank and smoothness -----------------------------------------------------
+
+def _equals_dlog_by_membership(F):
+    """F = D^log decided the generic way: each generator set lies in the
+    span of the other, to membership precision."""
+    G = Foliation.full(F.context)
+    deg = membership_degree(F.context, list(F) + list(G))
+    return (all(jet_module_coeffs(d, list(F), deg) is not None for d in G)
+            and all(jet_module_coeffs(d, list(G), deg) is not None for d in F))
+
+
+@st.composite
+def log_foliations(draw):
+    divisor = draw(st.sampled_from([[], ["y"]]))
+    ctx = RingContext(["x", "y"], divisor=divisor, truncation=5)
+    small = st.integers(-2, 2)
+    gens = []
+    for _ in range(draw(st.integers(0, 3))):
+        coeffs = {}
+        for v in ctx.variables:
+            terms = {(0, 0): draw(small)}
+            for _ in range(draw(st.integers(0, 2))):
+                e = (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+                terms[e] = draw(small)
+            c = Jet(ctx, terms)
+            coeffs[v] = c * Jet.variable(ctx, v) if ctx.is_divisor(v) else c
+        gens.append(Derivation(ctx, coeffs))
+    return Foliation(ctx, gens)
+
+
+@settings(max_examples=80, deadline=None)
+@given(log_foliations())
+def test_log_rank_decides_equality_with_dlog(F):
+    """Nakayama: F = D^log exactly when F's constant terms in the log basis
+    have full rank."""
+    n = len(F.context.variables)
+    assert (log_rank_at(F) == n) == _equals_dlog_by_membership(F)
+
 
 def test_sm_rank_and_log_smooth():
     F = Foliation(CTX, [D("x*d/dx + y^2*d/dy")])

@@ -135,6 +135,16 @@ def test_find_maximal_contact_normalizes():
     assert len(word) == 4
 
 
+def test_find_maximal_contact_skips_higher_order_generator():
+    # a = min(3/2, 2/2) = 1: x^3 is searched at a*b = 2 but has order 3;
+    # the word comes from y^2, whose order is a*b = 2
+    inst = make(["x", "y"], [], [], "full", rees=[("x^3", 2), ("y^2", 2)])
+    x1, word, d = find_maximal_contact(inst, 1)
+    assert x1 == parse_poly(inst.context, "y")
+    assert word == (1,)
+    assert d == Derivation.partial(inst.context, "y")
+
+
 def test_check_transverse_cases():
     ctx = RingContext(["x", "y"], truncation=16)
     F1 = Foliation(ctx, [parse_derivation(ctx, "d/dx")])

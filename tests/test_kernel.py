@@ -10,7 +10,7 @@ from folprin import (
     ContextMismatch, IdealGens, Jet, ParseError, Q, RingContext,
     TruncationOverflow, parse_poly,
 )
-from folprin.kernel import inverse, linsolve, rank
+from folprin.kernel import inverse, linsolve, rank, scalar_multiple
 
 CTX = RingContext(["x", "y"], truncation=8)
 CTX3 = RingContext(["x", "y", "z"], divisor=["z"], truncation=8)
@@ -236,6 +236,20 @@ def test_linsolve_nrows_beyond_rows_in_use():
     sol = linsolve([{0: Q(1, 2)}, {3: Q(2, 5)}], {0: Q(3), 3: Q(1)}, 10)
     assert sol == [Q(6), Q(5, 2)]
     assert all(type(v) is Fraction for v in sol)
+
+
+# -- scalar multiples ----------------------------------------------------------
+
+@pytest.mark.parametrize("a, b, expected", [
+    ({}, {}, True),
+    ({(1, 0): Q(2), (0, 1): Q(-4)}, {(1, 0): Q(-1, 2), (0, 1): Q(1)}, True),
+    ({(1, 0): Q(2), (0, 1): Q(4)}, {(1, 0): Q(1), (0, 1): Q(1)}, False),
+    ({(1, 0): Q(2)}, {(1, 0): Q(2), (0, 1): Q(1)}, False),
+    ({("x", (1, 0)): Q(3)}, {("y", (1, 0)): Q(3)}, False),
+])
+def test_scalar_multiple(a, b, expected):
+    assert scalar_multiple(a, b) is expected
+    assert scalar_multiple(b, a) is expected
 
 
 # -- rank and inverse ----------------------------------------------------------
