@@ -22,8 +22,6 @@ own tier vector.
 
 from __future__ import annotations
 
-import itertools
-
 from .foliation import (
     BudgetExhausted, Foliation, INFINITE, IdealGens, f_infty, f_order_rees,
     log_rank_at, restrict_to_hypersurface,
@@ -56,35 +54,40 @@ def find_maximal_contact(inst: PointedInstance, a):
     """First maximal contact element in deterministic order: generators of
     R by index, derivative words over F generators in shortlex.
 
-    a = min ord_F(f)/b, so every generator has ord_F(f) >= a*b; since
     ord_F(f) is the least length of a derivative word turning f into a
-    unit, a word of length a*b does so exactly when ord_F(f) = a*b.  Words
-    of that length are searched directly, with no F-order recomputed.
+    unit, and a finite ord_F(f) is at most the truncation (`f_order_at`
+    gives up beyond it).  So a generator has ord_F(f) = a*b exactly when
+    a*b is a whole number within the truncation, no shorter word gives a
+    unit and a word of length a*b does; only such generators are searched,
+    with no F-order recomputed.
+    With a = min ord_F(f)/b (`f_order_rees`) every generator has
+    ord_F(f) >= a*b, and the shorter-word test never fires.
+
+    Words are walked one length at a time over distinct jets, each kept
+    with the least word reaching it, so the first word in shortlex order
+    is found without enumerating the words that give the same jet.
 
     Returns (x1 jet normalized to unit linear coefficient, word, d).
     """
     R, F = inst.rees, inst.foliation
     a = Q(a)
-    k = len(F.generators)
     for f, b in R.generators:
         n = a * b
-        if n.denominator != 1:
+        if n.denominator != 1 or not 1 <= n <= inst.context.truncation:
             continue
-        for word in itertools.product(range(k), repeat=int(n) - 1):
-            g = f
-            dead = False
-            for i in word:
-                g = F.generators[i].apply(g)
-                if g.is_zero():
-                    dead = True
-                    break
-            if dead:
-                continue
-            for d in F.generators:
-                dg = d.apply(g)
-                if dg.is_unit():
-                    x1 = g * (Q(1) / dg.constant_term())
-                    return x1, word, d
+        level = {f: ()}
+        for step in range(int(n)):
+            if any(g.is_unit() for g in level):
+                break  # ord_F(f) < a*b
+            nxt = {}
+            for g, word in level.items():
+                for i, d in enumerate(F.generators):
+                    dg = d.apply(g)
+                    if step == n - 1 and dg.is_unit():
+                        return g * (Q(1) / dg.constant_term()), word, d
+                    if not dg.is_zero():
+                        nxt.setdefault(dg, word + (i,))
+            level = nxt
     raise BudgetExhausted(
         "no maximal contact found at order %s despite finite F-order "
         "(precision exhausted)" % a)

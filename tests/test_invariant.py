@@ -1,14 +1,15 @@
 """The invariant recursion: golden values, tiers, and certificates."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
 from folprin import (
-    Center, Derivation, Foliation, IdealGens, InvValue, InvVector, Jet,
-    PointedInstance, Q, ReesAlgebra, RingContext, center_inv, check_transverse,
-    compare_inv, fin, find_maximal_contact, inv_at, is_admissible,
-    parse_derivation, parse_poly, rees_from_ideal,
+    BudgetExhausted, Center, Derivation, Foliation, IdealGens, InvValue,
+    InvVector, Jet, PointedInstance, Q, ReesAlgebra, RingContext, center_inv,
+    check_transverse, compare_inv, fin, find_maximal_contact, inv_at,
+    is_admissible, parse_derivation, parse_poly, rees_from_ideal,
 )
 
 INF = lambda c: InvValue(1, c)
@@ -143,6 +144,36 @@ def test_find_maximal_contact_skips_higher_order_generator():
     assert x1 == parse_poly(inst.context, "y")
     assert word == (1,)
     assert d == Derivation.partial(inst.context, "y")
+
+
+@pytest.mark.parametrize("variables,rees,fol", [
+    (["x", "y"], [("y", 10), ("x^3", 1)], ["d/dx", "y*d/dy"]),
+    (["x", "y", "z"], [("y*z", 5), ("x^3", 1)],
+     ["d/dx", "y*d/dy", "z*d/dz"]),
+])
+def test_find_maximal_contact_passes_invariant_generator_quickly(
+        variables, rees, fol):
+    # the first generator is F-invariant (infinite order) and comes first
+    # with a*b = 30 (beyond the truncation) or 15 (3^14 words, all giving
+    # the same jet); the contact comes from x^3 at once
+    inst = make(variables, [], [], fol, rees=rees)
+    t0 = time.monotonic()
+    x1, word, d = find_maximal_contact(inst, 3)
+    assert time.monotonic() - t0 < 1.0
+    assert x1 == parse_poly(inst.context, "x")
+    assert word == (0, 0)
+    assert d == Derivation.partial(inst.context, "x")
+
+
+def test_find_maximal_contact_rejects_a_above_the_order():
+    # ord_F(x^2 + x^3) = 2: a = 2 finds the contact, a = 3 finds none
+    # (d/dx^2 is already a unit), as when the order was recomputed
+    inst = make(["x"], [], ["x^2 + x^3"], ["d/dx"])
+    x1, word, d = find_maximal_contact(inst, 2)
+    assert x1 == parse_poly(inst.context, "x + 3/2*x^2")
+    assert word == (0,)
+    with pytest.raises(BudgetExhausted):
+        find_maximal_contact(inst, 3)
 
 
 def test_check_transverse_cases():
