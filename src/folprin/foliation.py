@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Optional
 
 from .kernel import (
@@ -279,11 +280,11 @@ def jet_module_coeffs(target, gens, degree):
     sol = linsolve(columns, rhs, len(mono_index))
     if sol is None:
         return None
-    mults = [Jet.zero(ctx) for _ in gens]
+    mults = [{} for _ in gens]
     for (i, m), x in zip(col_keys, sol):
-        if x != 0:
-            mults[i] = mults[i] + Jet(ctx, {m: x})
-    return mults
+        if x:
+            mults[i][m] = x
+    return [Jet(ctx, terms) for terms in mults]
 
 
 def in_jet_span(target, gens, degree) -> bool:
@@ -375,22 +376,33 @@ def f_order_rees(F: Foliation, R) -> object:
 
 def rees_piece_gens(R, b):
     """Jet generators of the degree-b graded piece R_b as an O-module:
-    products of algebra generators whose degrees sum exactly to b."""
-    gens = [(f, Q(d)) for f, d in R.generators]
+    products of algebra generators whose degrees sum exactly to b, the
+    distinct nonzero ones in the order a depth-first walk over
+    non-decreasing generator indices first meets them.
+
+    The walk expands each (product, degree) state once, at its first visit,
+    and stops at a zero product.  That keeps the list, order included:
+    degrees strictly increase along a path, so the first visit's subtree is
+    done when the state recurs, and every index sequence through a repeat
+    is matched by one through the first visit, extended by the same
+    indices, that sorts earlier and gives the same product."""
     b = Q(b)
     if b == 0:
         return [Jet.const(R.context, 1)]
+    # degrees as integers over their common denominator
+    den = lcm(b.denominator, *(Q(d).denominator for _, d in R.generators))
+    gens = [(f, int(Q(d) * den)) for f, d in R.generators]
+    b = int(b * den)
     out = []
-    seen = set()
+    seen = set()                        # (product, degree) states visited
 
     def rec(start, acc_jet, acc_deg):
-        if acc_deg == b:
-            key = frozenset(acc_jet.terms.items())
-            if key not in seen and not acc_jet.is_zero():
-                seen.add(key)
-                out.append(acc_jet)
+        state = (frozenset(acc_jet.terms.items()), acc_deg)
+        if acc_jet.is_zero() or state in seen:
             return
-        if start >= len(gens):
+        seen.add(state)
+        if acc_deg == b:
+            out.append(acc_jet)
             return
         for i in range(start, len(gens)):
             f, d = gens[i]
@@ -398,7 +410,7 @@ def rees_piece_gens(R, b):
                 continue
             rec(i, acc_jet * f, acc_deg + d)
 
-    rec(0, Jet.const(R.context, 1), Q(0))
+    rec(0, Jet.const(R.context, 1), 0)
     return out
 
 

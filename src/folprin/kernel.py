@@ -6,6 +6,14 @@ exponents are tuples keyed against an immutable `RingContext` that also
 records which variables cut out the boundary divisor.
 
 Values are immutable after construction; all operations are pure.
+
+Coefficients at rest are Fractions, but products and substitutions run on
+Python ints: each operand's denominators are cleared once (integer
+numerators over their lcm, kept on the jet after first use, in degree
+order so a product stops at the truncation), the integer sums are
+accumulated, and one Fraction is made per output term.  Results of jet
+arithmetic are built by the trusted `_jet`; the public constructor keeps
+cleaning what it is given.
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from numbers import Rational
+from operator import add
 from typing import Iterable, Mapping
 
 Q = Fraction
@@ -110,18 +119,47 @@ def scalar_multiple(a: Mapping, b: Mapping) -> bool:
     return k0 is None or all(c * b[k0] == b[k] * a[k0] for k, c in a.items())
 
 
+def _jet(ctx, terms):
+    """A Jet over trusted terms: nonzero Fractions keyed by exponent tuples
+    within the truncation (the results of Jet arithmetic).  The public
+    constructor cleans its input instead."""
+    jet = object.__new__(Jet)
+    object.__setattr__(jet, "context", ctx)
+    object.__setattr__(jet, "terms", terms)
+    object.__setattr__(jet, "_ints", None)
+    return jet
+
+
+def _integer_terms(jet):
+    """A jet's terms with the denominators cleared: (degree, exponent,
+    integer numerator) in degree order, and the common denominator (the
+    lcm) they sit over.  Computed once per jet."""
+    if jet._ints is None:
+        terms = jet.terms
+        den = lcm(*(c.denominator for c in terms.values()))
+        if den == 1:
+            out = [(sum(e), e, c.numerator) for e, c in terms.items()]
+        else:
+            out = [(sum(e), e, c.numerator * (den // c.denominator))
+                   for e, c in terms.items()]
+        out.sort()
+        object.__setattr__(jet, "_ints", (out, den))
+    return jet._ints
+
+
 class Jet:
     """A truncated power series: sparse exponent->Fraction map of total
     degree <= the context truncation.  Terms with zero coefficient are
     never stored."""
 
-    __slots__ = ("context", "terms")
+    __slots__ = ("context", "terms", "_ints")
 
     def __init__(self, context: RingContext, terms: Mapping[tuple, Fraction]):
         clean = {}
         n = context.truncation
         for e, c in terms.items():
-            c = Q(c)
+            if type(c) is not Fraction:
+                c = Q(c)
             if c == 0:
                 continue
             if sum(e) > n:
@@ -129,6 +167,7 @@ class Jet:
             clean[tuple(e)] = c
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_ints", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Jet is immutable")
@@ -137,7 +176,7 @@ class Jet:
 
     @staticmethod
     def zero(ctx: RingContext) -> "Jet":
-        return Jet(ctx, {})
+        return _jet(ctx, {})
 
     @staticmethod
     def const(ctx: RingContext, c) -> "Jet":
@@ -212,17 +251,18 @@ class Jet:
         self._check(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            s = terms.get(e, Q(0)) + c
-            if s == 0:
-                terms.pop(e, None)
-            else:
-                terms[e] = s
-        return Jet(self.context, terms)
+            if e in terms:
+                c += terms[e]
+                if not c:
+                    del terms[e]
+                    continue
+            terms[e] = c
+        return _jet(self.context, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.context, {e: -c for e, c in self.terms.items()})
+        return _jet(self.context, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Jet):
@@ -233,38 +273,50 @@ class Jet:
         return (-self) + other
 
     def __mul__(self, other):
+        ctx = self.context
         if not isinstance(other, Jet):
-            return Jet(self.context,
-                       {e: c * Q(other) for e, c in self.terms.items()})
+            c = Q(other)
+            if not c:
+                return _jet(ctx, {})
+            return _jet(ctx, {e: a * c for e, a in self.terms.items()})
         self._check(other)
-        n = self.context.truncation
-        out = {}
-        for e1, c1 in self.terms.items():
-            d1 = sum(e1)
-            for e2, c2 in other.terms.items():
-                if d1 + sum(e2) > n:
-                    continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Q(0)) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return Jet(self.context, out)
+        if not self.terms or not other.terms:
+            return _jet(ctx, {})
+        n = ctx.truncation
+        a, da = _integer_terms(self)
+        b, db = _integer_terms(other)
+        low = b[0][0]
+        acc = {}
+        for d1, e1, c1 in a:
+            room = n - d1
+            if low > room:
+                break
+            for d2, e2, c2 in b:
+                if d2 > room:
+                    break
+                e = tuple(map(add, e1, e2))
+                acc[e] = acc.get(e, 0) + c1 * c2
+        den = da * db
+        if den == 1:
+            return _jet(ctx, {e: Q(c) for e, c in acc.items() if c})
+        return _jet(ctx, {e: Q(c, den) for e, c in acc.items() if c})
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power of a jet")
-        out = Jet.const(self.context, 1)
+        if k == 0:
+            return Jet.const(self.context, 1)
+        out = None
         base = self
-        while k:
+        while True:
             if k & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             k >>= 1
-        return out
+            if not k:
+                return out
+            base = base * base
 
     def __eq__(self, other):
         """Jets compare by context and terms; a rational number compares as
@@ -292,11 +344,11 @@ class Jet:
             d = list(e)
             d[i] -= 1
             out[tuple(d)] = c * e[i]
-        return Jet(self.context, out)
+        return _jet(self.context, out)
 
     def truncate(self, n: int) -> "Jet":
-        return Jet(self.context,
-                   {e: c for e, c in self.terms.items() if sum(e) <= n})
+        return _jet(self.context,
+                    {e: c for e, c in self.terms.items() if sum(e) <= n})
 
     def inverse(self) -> "Jet":
         """Multiplicative inverse of a unit jet (geometric series)."""
@@ -333,21 +385,32 @@ class Jet:
                 imgs[v] = g
             else:
                 imgs[v] = Jet.variable(target, v)
-        out = Jet.zero(target)
-        powers = {v: [Jet.const(target, 1)] for v in self.context.variables}
+        one = _integer_terms(Jet.const(target, 1))
+        acc, den = {}, 1                # integer numerators over den
+        powers = {v: [None, imgs[v]] for v in self.context.variables}
         for e, c in self.terms.items():
-            term = Jet.const(target, c)
+            term = None                 # the monomial's image; None is 1
             for v, k in zip(self.context.variables, e):
                 if k == 0:
                     continue
                 cache = powers[v]
                 while len(cache) <= k:
                     cache.append(cache[-1] * imgs[v])
-                term = term * cache[k]
-                if term.is_zero():
+                term = cache[k] if term is None else term * cache[k]
+                if not term.terms:
                     break
-            out = out + term
-        return out
+            items, d = one if term is None else _integer_terms(term)
+            d *= c.denominator
+            if den % d:
+                grow = lcm(den, d) // den
+                acc = {e2: n * grow for e2, n in acc.items()}
+                den *= grow
+            s = c.numerator * (den // d)
+            for _, e2, n2 in items:
+                acc[e2] = acc.get(e2, 0) + s * n2
+        if den == 1:
+            return _jet(target, {e: Q(n) for e, n in acc.items() if n})
+        return _jet(target, {e: Q(n, den) for e, n in acc.items() if n})
 
     def translate(self, point: Mapping[str, Fraction]) -> "Jet":
         """Recenter at the given point: v -> v + point[v]."""
@@ -369,13 +432,21 @@ class Jet:
         out = {}
         n = len(target.variables)
         for e, c in self.terms.items():
+            if sum(e) > target.truncation:
+                continue
             d = [0] * n
             for v, k in zip(self.context.variables, e):
                 if k == 0:
                     continue
                 d[target.index(mapping.get(v, v))] += k
-            out[tuple(d)] = out.get(tuple(d), Q(0)) + c
-        return Jet(target, out)
+            d = tuple(d)
+            if d in out:                # two variables renamed to one
+                c += out[d]
+                if not c:
+                    del out[d]
+                    continue
+            out[d] = c
+        return _jet(target, out)
 
     # printing ----------------------------------------------------------
 

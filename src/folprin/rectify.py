@@ -86,12 +86,23 @@ class CoordinateChange:
 
 
 def invert_jet_map(ctx: RingContext, images: Mapping[str, Jet]) -> dict:
-    """Invert an origin-preserving jet map with invertible linear part."""
+    """Invert an origin-preserving jet map with invertible linear part.
+
+    The inverse solves  old = Ainv * (new - h(old)),  h the nonlinear tail
+    (of order >= 2), so one step of that fixed point turns an inverse that
+    is right below degree k into one that is right through degree k.  The
+    inverse is lifted one degree at a time from the linear part: step k
+    runs at truncation k, so the early steps work on short jets (series
+    reversion by precision lifting, Brent & Kung 1978).  A step that adds
+    nothing hints that the inverse is a polynomial of lower degree: one
+    full-order step follows, and when that is a fixed point the inverse is
+    final.  A linear map (every tail zero) needs no step.  Either way the
+    round trip images(inverse) = identity is checked at the end.
+    """
     ainv = inverse([[images[v].coefficient({w: 1}) for w in ctx.variables]
                     for v in ctx.variables])
     if ainv is None:
         raise ValueError("coordinate change has singular linear part")
-    # old = Ainv * (new - h(old)), h the nonlinear tail; iterate to order N
     tails = {}
     for v in ctx.variables:
         t = images[v]
@@ -100,6 +111,21 @@ def invert_jet_map(ctx: RingContext, images: Mapping[str, Jet]) -> dict:
             if c:
                 t = t - Jet.variable(ctx, w) * c
         tails[v] = t
+
+    def step(cur, c):
+        """Ainv * (new - h(cur)) in context c; cur is renamed into c."""
+        cur = {w: g.rename(c) for w, g in cur.items()}
+        corr = {v: Jet.variable(c, v) - tails[v].rename(c).substitute(cur, c)
+                for v in ctx.variables}
+        nxt = {}
+        for j, w in enumerate(ctx.variables):
+            acc = Jet.zero(c)
+            for i, v in enumerate(ctx.variables):
+                if ainv[j][i]:
+                    acc = acc + corr[v] * ainv[j][i]
+            nxt[w] = acc
+        return cur, nxt
+
     current = {}
     for j, w in enumerate(ctx.variables):
         acc = Jet.zero(ctx)
@@ -107,19 +133,15 @@ def invert_jet_map(ctx: RingContext, images: Mapping[str, Jet]) -> dict:
             if ainv[j][i]:
                 acc = acc + Jet.variable(ctx, v) * ainv[j][i]
         current[w] = acc
-    for _ in range(ctx.truncation):
-        nxt = {}
-        for j, w in enumerate(ctx.variables):
-            acc = Jet.zero(ctx)
-            for i, v in enumerate(ctx.variables):
-                if ainv[j][i] == 0:
-                    continue
-                corr = Jet.variable(ctx, v) - tails[v].substitute(current, ctx)
-                acc = acc + corr * ainv[j][i]
-            nxt[w] = acc
-        if nxt == current:
-            break
-        current = nxt
+    if any(not t.is_zero() for t in tails.values()):
+        for k in range(2, ctx.truncation + 1):
+            cur, nxt = step(current, ctx.with_truncation(k))
+            if nxt == cur:
+                full, nxt_full = step(cur, ctx)
+                if nxt_full == full:
+                    break
+            current = nxt
+        current = {w: g.rename(ctx) for w, g in current.items()}
     # sanity: composing forward then inverse must give the identity
     for v in ctx.variables:
         back = images[v].substitute(current, ctx)

@@ -7,12 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from folprin import (
     Derivation, Foliation, IdealGens, INFINITE, Jet, NotLogarithmic, Q,
-    RingContext, check_involutive, f_infty, f_order_at, f_order_rees,
-    is_f_invariant, lie_bracket, log_smooth_at, parse_derivation, parse_poly,
-    rees_from_ideal, sm_rank_at,
+    ReesAlgebra, RingContext, check_involutive, f_infty, f_order_at,
+    f_order_rees, is_f_invariant, lie_bracket, log_smooth_at,
+    parse_derivation, parse_poly, rees_from_ideal, sm_rank_at,
 )
 from folprin.foliation import (
     in_jet_span, jet_module_coeffs, log_rank_at, membership_degree,
+    rees_piece_gens,
 )
 
 CTX = RingContext(["x", "y"], truncation=8)
@@ -127,6 +128,78 @@ def test_f_infty_saturates():
     R = rees_from_ideal(IdealGens(CTX, [J("x*y")]))
     Rinf = f_infty(F, R)
     assert is_f_invariant(F, Rinf)
+
+
+def _reference_piece_gens(R, b):
+    """Every product over non-decreasing generator indices, depth first,
+    with degrees summing to b; the distinct nonzero ones in order found."""
+    gens = [(f, Q(d)) for f, d in R.generators]
+    out, seen = [], set()
+
+    def rec(start, acc, deg):
+        if deg == b:
+            key = frozenset(acc.terms.items())
+            if key not in seen and not acc.is_zero():
+                seen.add(key)
+                out.append(acc)
+            return
+        for i in range(start, len(gens)):
+            if deg + gens[i][1] <= b:
+                rec(i, acc * gens[i][0], deg + gens[i][1])
+
+    rec(0, Jet.const(R.context, 1), Q(0))
+    return out
+
+
+def test_rees_piece_gens_expands_each_state_once(monkeypatch):
+    # the F^infty closure of y@10, x^3@1 under d/dx, y*d/dy meets many
+    # copies of y at degrees k/3; the same products recur along many paths
+    ctx = RingContext(["x", "y"], truncation=12)
+    R = ReesAlgebra(ctx, [(J("y", ctx), Q(k, 3)) for k in range(1, 19)]
+                    + [(J("x^2", ctx), Q(1))])
+    want = _reference_piece_gens(R, Q(6))
+    products = [0]
+    mul = Jet.__mul__
+
+    def counting_mul(a, b):
+        products[0] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(Jet, "__mul__", counting_mul)
+    got = rees_piece_gens(R, 6)
+    monkeypatch.undo()
+    assert [g.terms for g in got] == [g.terms for g in want]
+    # 787 products; enumerating every path takes 2687
+    assert products[0] <= 1000
+
+
+@st.composite
+def small_rees(draw):
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        e = (draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+        c = draw(st.sampled_from([1, -1, 2, Q(1, 2)]))
+        deg = Q(draw(st.integers(1, 6)), draw(st.sampled_from([1, 2, 3])))
+        gens.append((Jet(CTX, {e: c}) + J("x*y") * draw(st.integers(0, 1)),
+                     deg))
+    return ReesAlgebra(CTX, gens)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_rees(), st.sampled_from([Q(1), Q(3, 2), Q(2), Q(3), Q(10, 3)]))
+def test_rees_piece_gens_matches_reference(R, b):
+    got = rees_piece_gens(R, b)
+    assert [g.terms for g in got] == \
+        [g.terms for g in _reference_piece_gens(R, b)]
+
+
+def test_jet_module_coeffs_multipliers_reproduce_target():
+    gens = [J("x^2 + y"), J("y^2"), J("x*y")]
+    target = J("x^3 + 2*x*y - 3*y^3 + 1/2*x^2*y")
+    deg = membership_degree(CTX, gens + [target])
+    mults = jet_module_coeffs(target, gens, deg)
+    total = sum((h * g for h, g in zip(mults, gens)), Jet.zero(CTX))
+    assert total.truncate(deg) == target.truncate(deg)
 
 
 # -- rank and smoothness -----------------------------------------------------

@@ -131,6 +131,101 @@ def test_partial_leibniz(f):
             assert rhs.coefficient(dict(zip(CTX.variables, e))) == c
 
 
+# -- products and substitution against plain Fraction references --------------
+#
+# The references are the straightforward algorithms: every pair of terms
+# multiplied in Fractions, and a substitution summed term by term.
+
+def _reference_mul(f, g):
+    n = f.context.truncation
+    out = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            if sum(e1) + sum(e2) <= n:
+                e = tuple(a + b for a, b in zip(e1, e2))
+                out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _reference_substitute(f, images, target):
+    out = {}
+    for e, c in f.terms.items():
+        term = {(0,) * len(target.variables): c}
+        for v, k in zip(f.context.variables, e):
+            for _ in range(k):
+                term = _reference_mul(Jet(target, term), images[v])
+        for e2, c2 in term.items():
+            out[e2] = out.get(e2, Fraction(0)) + c2
+    return {e: c for e, c in out.items() if c}
+
+
+# denominators mixed small and large (to 10^12, primes among them)
+wide_fractions = st.one_of(
+    fractions,
+    st.builds(Fraction, st.integers(-10**15, 10**15),
+              st.sampled_from([1, 2, 3, 7, 10**6, 999983, 10**12, 2**40 + 15])))
+
+
+@st.composite
+def boundary_jets(draw, ctx=CTX, max_terms=6):
+    """Jets whose terms crowd the truncation boundary (degree N - 1, N)."""
+    terms = {}
+    n = len(ctx.variables)
+    for _ in range(draw(st.integers(0, max_terms))):
+        d = draw(st.sampled_from([0, 1, 2, ctx.truncation - 1, ctx.truncation]))
+        cut = sorted(draw(st.integers(0, d)) for _ in range(n - 1))
+        e = tuple(b - a for a, b in zip([0] + cut, cut + [d]))
+        terms[e] = draw(wide_fractions)
+    return Jet(ctx, terms)
+
+
+def _clean(f):
+    """Coefficients at rest are nonzero Fractions within the truncation."""
+    return all(type(c) is Fraction and c and sum(e) <= f.context.truncation
+               for e, c in f.terms.items())
+
+
+@settings(max_examples=150, deadline=None)
+@given(boundary_jets(), boundary_jets(), wide_fractions)
+def test_product_matches_reference(f, g, c):
+    fg = f * g
+    assert fg.terms == _reference_mul(f, g) and _clean(fg)
+    assert g * f == fg
+    # cancellation to zero: f*g + (-f)*g, and (f+g)(f-g) = f^2 - g^2
+    assert (f * g + (-f) * g).is_zero()
+    assert (f + g) * (f - g) == f * f - g * g
+    for s in (0, Fraction(0), c, 3, Fraction(-1, 10**12)):
+        sf = f * s
+        assert sf == s * f and _clean(sf)
+        assert sf.terms == {e: a * s for e, a in f.terms.items() if a * s}
+
+
+@settings(max_examples=60, deadline=None)
+@given(boundary_jets(max_terms=4), st.integers(0, 9))
+def test_power_matches_repeated_product(f, k):
+    want = {(0, 0): Fraction(1)}
+    for _ in range(k):
+        want = _reference_mul(Jet(CTX, want), f)
+    assert (f ** k).terms == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(jets(CTX3, max_terms=5), jets(CTX3, max_terms=3),
+       jets(CTX3, max_terms=3), wide_fractions)
+def test_substitute_matches_reference(f, gx, gy, c):
+    # images of order >= 0 (constants allowed); z is left as it is
+    f = f + c
+    images = {"x": gx + Jet.variable(CTX3, "y") * c, "y": gy}
+    full = dict(images, z=Jet.variable(CTX3, "z"))
+    got = f.substitute(images, CTX3)
+    assert got.terms == _reference_substitute(f, full, CTX3) and _clean(got)
+    # into a context of lower truncation: the result is cut there
+    low = CTX3.with_truncation(3)
+    small = {v: g.rename(low) for v, g in full.items()}
+    assert f.substitute(small, low).terms == \
+        _reference_substitute(f, small, low)
+
+
 # -- substitution ------------------------------------------------------------
 
 def test_substitute_composes():

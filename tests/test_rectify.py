@@ -4,12 +4,14 @@ from fractions import Fraction
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from folprin import (
     CertificateFailure, CoordinateChange, Derivation, Foliation, Jet, Q,
     RingContext, invert_jet_map, parse_derivation, parse_poly,
     rectify_coordinate, split_foliation,
 )
+from folprin.kernel import inverse
 from folprin.rectify import is_independent
 
 CTX = RingContext(["x", "y"], truncation=10)
@@ -86,6 +88,101 @@ def test_invert_jet_map_roundtrip():
     inv = invert_jet_map(CTX, images)
     for v in CTX.variables:
         assert images[v].substitute(inv, CTX) == Jet.variable(CTX, v)
+
+
+def _reference_invert(ctx, images):
+    """The full-order fixed-point loop: old = Ainv * (new - h(old)) at
+    truncation N until nothing changes."""
+    n = len(ctx.variables)
+    a = [[images[v].coefficient({w: 1}) for w in ctx.variables]
+         for v in ctx.variables]
+    ainv = inverse(a)
+    x = [Jet.variable(ctx, v) for v in ctx.variables]
+    tails = {v: images[v] - sum((x[j] * a[i][j] for j in range(n)),
+                                Jet.zero(ctx))
+             for i, v in enumerate(ctx.variables)}
+    current = {w: sum((x[i] * ainv[j][i] for i in range(n)), Jet.zero(ctx))
+               for j, w in enumerate(ctx.variables)}
+    for _ in range(ctx.truncation):
+        nxt = {w: sum(((x[i] - tails[v].substitute(current, ctx)) * ainv[j][i]
+                       for i, v in enumerate(ctx.variables)), Jet.zero(ctx))
+               for j, w in enumerate(ctx.variables)}
+        if nxt == current:
+            break
+        current = nxt
+    return current
+
+
+CTX3 = RingContext(["x", "y", "z"], truncation=5)
+small_fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
+
+
+@st.composite
+def nonlinear_tails(draw, ctx, max_terms=3, max_degree=4):
+    """A jet of order >= 2 with a few small rational terms."""
+    n = len(ctx.variables)
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        d = draw(st.integers(2, max_degree))
+        cut = sorted(draw(st.integers(0, d)) for _ in range(n - 1))
+        terms[tuple(b - a for a, b in zip([0] + cut, cut + [d]))] = \
+            draw(small_fractions)
+    return Jet(ctx, terms)
+
+
+@st.composite
+def dense_maps(draw, ctx):
+    """Maps with a dense invertible linear part and a nonlinear tail."""
+    vs = ctx.variables
+    while True:
+        a = [[draw(small_fractions.filter(bool)) for _ in vs] for _ in vs]
+        if inverse(a) is not None:
+            break
+    return {v: sum((Jet.variable(ctx, w) * a[i][j] for j, w in enumerate(vs)),
+                   draw(nonlinear_tails(ctx)))
+            for i, v in enumerate(vs)}
+
+
+@st.composite
+def polynomial_automorphisms(draw, ctx):
+    """Compositions of triangular maps v -> v + p(later variables): their
+    inverses are polynomials, so the lifting stops early."""
+    vs = ctx.variables
+    images = {v: Jet.variable(ctx, v) for v in vs}
+    for _ in range(draw(st.integers(1, 2))):
+        order = draw(st.permutations(vs))
+        step = {}
+        for i, v in enumerate(order):
+            p = Jet.zero(ctx)
+            for w in order[i + 1:]:
+                k = draw(st.integers(0, 3))
+                if k >= 2:
+                    p = p + Jet.variable(ctx, w) ** k * draw(small_fractions)
+            step[v] = Jet.variable(ctx, v) + p
+        images = {v: step[v].substitute(images, ctx) for v in vs}
+    return images
+
+
+@pytest.mark.parametrize("ctx", [CTX.with_truncation(8), CTX3])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_invert_jet_map_matches_full_order_loop(ctx, data):
+    draw = data.draw
+    # invert_jet_map checks its own round trip; here it must also agree
+    # with the reference on the dense and on the early-exit path
+    for images in (draw(dense_maps(ctx)), draw(polynomial_automorphisms(ctx))):
+        assert invert_jet_map(ctx, images) == _reference_invert(ctx, images)
+
+
+def test_invert_linear_and_odd_maps():
+    # a linear map is inverted by its linear part; tails of odd degree
+    # leave every even degree empty, and the lifting must go on past them
+    ctx = CTX.with_truncation(9)
+    for images in ({"x": J("2*x + y", ctx), "y": J("x - y", ctx)},
+                   {"x": J("x + x^3", ctx), "y": J("y - x*y^2", ctx)}):
+        assert invert_jet_map(ctx, images) == _reference_invert(ctx, images)
+    inv = invert_jet_map(ctx, {"x": J("x + x^3", ctx), "y": J("y", ctx)})
+    assert inv["x"] == J("x - x^3 + 3*x^5 - 12*x^7 + 55*x^9", ctx)
 
 
 def test_coordinate_change_push_pull():
