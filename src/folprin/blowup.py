@@ -183,7 +183,7 @@ def transform_rees(B: Cobordism, R: ReesAlgebra, mode: str = "controlled") -> Re
 
 
 def transform_derivation(B: Cobordism, d: Derivation,
-                         mode: str = "total") -> Tuple[Derivation, int]:
+                         mode: str = "controlled") -> Tuple[Derivation, int]:
     """Transform of a derivation with its integer s-exponent ledger.
 
     sigma^*(sum g_v d/dv) = sum sigma^*(g_v) s^{-w_v} d/dv' with
@@ -191,7 +191,7 @@ def transform_derivation(B: Cobordism, d: Derivation,
     coefficient monomials (shifted by -w_v on center variables).  The
     returned pair (D, k) satisfies D = s^k * sigma^*(d):
 
-      total/controlled: k = max(0, -v_min), the minimal nonnegative power
+      controlled: k = max(0, -v_min), the minimal nonnegative power
         clearing all poles;
       strict: k = -v_min, additionally removing any common s-factor.
     """
@@ -211,7 +211,7 @@ def transform_derivation(B: Cobordism, d: Derivation,
             v_min = m - shift
     if v_min is None:
         return Derivation.zero(B.target), 0
-    if mode in ("total", "controlled"):
+    if mode == "controlled":
         k = max(0, -v_min)
     elif mode == "strict":
         k = -v_min
@@ -288,7 +288,7 @@ def transform_foliation(B: Cobordism, F: Foliation, mode: str = "controlled") ->
     (bounded saturation with a stability certificate)."""
     gens = []
     for d in F.generators:
-        D, _ = transform_derivation(B, d, "strict" if mode == "strict" else "controlled")
+        D, _ = transform_derivation(B, d, mode)
         if not D.is_zero():
             gens.append(D)
     if mode != "strict":

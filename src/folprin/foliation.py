@@ -14,6 +14,14 @@ iterations that exhaust the budget raise BudgetExhausted instead of
 guessing.  The one exception is whether F equals D^log: by Nakayama's lemma
 that is the rank of F's constant terms in the log basis (`log_rank_at`),
 an exact power-series verdict that reads only degree 0.
+
+ord_F, R^infty, F-invariance, the coefficient algebra and the maximal
+contact search walk F-derivatives with `derivative_levels`: level 0 is
+the seeds, and level k+1 is what the caller's prune keeps of the nonzero
+(d_i(g), word + (i,)), for each (g, word) of level k in order and each
+generator d_i of F in order.  One seed's words thus come in shortlex
+order; a prune that wants derivation-major order sorts stably on the
+last letter.
 """
 
 from __future__ import annotations
@@ -324,7 +332,26 @@ def check_involutive(F: Foliation):
 # ---------------------------------------------------------------------------
 # F-derivative chains and order
 
-def f_order_at(F: Foliation, I: IdealGens, budget: Optional[int] = None):
+def derivative_levels(F: Foliation, seeds, prune):
+    """Yield the levels of F-derivatives of the (jet, word) pairs `seeds`,
+    in the order of the module docstring, until one is empty."""
+    level = list(seeds)
+    while level:
+        yield level
+        level = prune([(h, word + (i,)) for g, word in level
+                       for i, d in enumerate(F.generators)
+                       for h in (d.apply(g),) if not h.is_zero()])
+
+
+def distinct_jets(level):
+    """Prune for `derivative_levels`: each jet once, with its first word."""
+    first = {}
+    for g, word in level:
+        first.setdefault(g, word)
+    return list(first.items())
+
+
+def f_order_at(F: Foliation, I: IdealGens):
     """ord_F of I at the origin: least n with F^n(I) the unit ideal.
 
     Returns INFINITE only when the chain stabilizes (every new derivative
@@ -333,30 +360,26 @@ def f_order_at(F: Foliation, I: IdealGens, budget: Optional[int] = None):
     BudgetExhausted when precision runs out first.
     """
     ctx = I.context
-    if budget is None:
-        budget = ctx.truncation
-    if I.is_zero():
-        return INFINITE
     current = I
-    frontier = list(I.generators)
-    for n in range(budget + 1):
+
+    def escaped(level):
+        # called after the loop's pass n: level n + 1 has budget N - n
+        nonlocal current
+        gens = list(current.generators)
+        deg = membership_degree(ctx, gens + [g for g, _ in level],
+                                ctx.truncation - n)
+        out = [(g, w) for g, w in level if not in_jet_span(g, gens, deg)]
+        current = IdealGens(ctx, gens + [g for g, _ in out])
+        return out
+
+    for n, _ in enumerate(derivative_levels(F, [(f, ()) for f in I.generators],
+                                            escaped)):
+        if n > ctx.truncation:
+            raise BudgetExhausted(
+                "F-order chain did not settle within budget %d" % ctx.truncation)
         if current.is_unit_ideal():
             return n
-        new = []
-        for d in F.generators:
-            for f in frontier:
-                g = d.apply(f)
-                if not g.is_zero():
-                    new.append(g)
-        deg = membership_degree(ctx, list(current.generators) + new, budget - n)
-        escaped = [g for g in new
-                   if not in_jet_span(g, list(current.generators), deg)]
-        if not escaped:
-            return INFINITE
-        frontier = escaped
-        current = IdealGens(ctx, list(current.generators) + escaped)
-    raise BudgetExhausted(
-        "F-order chain did not settle within budget %d" % budget)
+    return INFINITE
 
 
 def f_order_rees(F: Foliation, R) -> object:
@@ -414,45 +437,45 @@ def rees_piece_gens(R, b):
     return out
 
 
+def _closure_levels(F: Foliation, ctx: RingContext, gens: list):
+    """Levels of the F^infty closure of the Rees generators `gens`: each
+    derivative, visited derivation-major, is kept and joins `gens` when it
+    escapes the graded piece of its seed's degree (carried as the first
+    letter of its word) in the algebra generated so far."""
+    from .rees import ReesAlgebra
+
+    def escaped(level):
+        kept, pieces = [], {}
+        for g, word in sorted(level, key=lambda gw: gw[1][-1]):
+            b = word[0]
+            if b not in pieces:
+                pieces[b] = rees_piece_gens(ReesAlgebra(ctx, gens), b)
+            piece = pieces[b]
+            if not in_jet_span(g, piece, membership_degree(ctx, piece + [g])):
+                kept.append((g, word))
+                gens.append((g, b))
+                pieces.clear()
+        return kept
+
+    return derivative_levels(F, [(f, (b,)) for f, b in gens], escaped)
+
+
 def is_f_invariant(F: Foliation, R) -> bool:
     """F(R_b) subset R_b for every generator degree b, tested on algebra
     generators (sufficient by the Leibniz rule)."""
-    ctx = R.context
-    for f, b in R.generators:
-        piece = rees_piece_gens(R, b)
-        for d in F.generators:
-            g = d.apply(f)
-            if g.is_zero():
-                continue
-            deg = membership_degree(ctx, piece + [g])
-            if not in_jet_span(g, piece, deg):
-                return False
-    return True
+    levels = _closure_levels(F, R.context, list(R.generators))
+    next(levels, None)  # the seeds
+    return next(levels, None) is None
 
 
 def f_infty(F: Foliation, R):
     """Closure of R under F-derivatives at unchanged degrees (R^infty)."""
     from .rees import ReesAlgebra
-    ctx = R.context
     gens = list(R.generators)
-    frontier = list(gens)
-    for _ in range(ctx.truncation + 1):
-        new = []
-        for d in F.generators:
-            for f, b in frontier:
-                g = d.apply(f)
-                if g.is_zero():
-                    continue
-                cur = ReesAlgebra(ctx, gens + new)
-                piece = rees_piece_gens(cur, b)
-                deg = membership_degree(ctx, piece + [g])
-                if not in_jet_span(g, piece, deg):
-                    new.append((g, b))
-        if not new:
-            return ReesAlgebra(ctx, gens)
-        gens.extend(new)
-        frontier = new
-    raise BudgetExhausted("F^infty closure did not stabilize within budget")
+    for n, _ in enumerate(_closure_levels(F, R.context, gens)):
+        if n > R.context.truncation:
+            raise BudgetExhausted("F^infty closure did not stabilize within budget")
+    return ReesAlgebra(R.context, gens)
 
 
 # ---------------------------------------------------------------------------

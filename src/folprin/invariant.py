@@ -22,9 +22,12 @@ own tier vector.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from .foliation import (
-    BudgetExhausted, Foliation, INFINITE, IdealGens, f_infty, f_order_rees,
-    log_rank_at, restrict_to_hypersurface,
+    BudgetExhausted, Foliation, INFINITE, IdealGens, derivative_levels,
+    distinct_jets, f_infty, f_order_rees, log_rank_at,
+    restrict_to_hypersurface,
 )
 from .kernel import Jet, Q, RingContext, rank
 from .rectify import CertificateFailure, CoordinateChange, split_foliation
@@ -54,18 +57,11 @@ def find_maximal_contact(inst: PointedInstance, a):
     """First maximal contact element in deterministic order: generators of
     R by index, derivative words over F generators in shortlex.
 
-    ord_F(f) is the least length of a derivative word turning f into a
-    unit, and a finite ord_F(f) is at most the truncation (`f_order_at`
-    gives up beyond it).  So a generator has ord_F(f) = a*b exactly when
-    a*b is a whole number within the truncation, no shorter word gives a
-    unit and a word of length a*b does; only such generators are searched,
-    with no F-order recomputed.
-    With a = min ord_F(f)/b (`f_order_rees`) every generator has
-    ord_F(f) >= a*b, and the shorter-word test never fires.
-
-    Words are walked one length at a time over distinct jets, each kept
-    with the least word reaching it, so the first word in shortlex order
-    is found without enumerating the words that give the same jet.
+    A generator has ord_F(f) = a*b exactly when a*b is a whole number
+    within the truncation (`f_order_at` gives up beyond it), no shorter
+    word gives a unit and a word of length a*b does; only such generators
+    are searched.  With a = min ord_F(f)/b every generator has
+    ord_F(f) >= a*b, so the shorter-word test never fires.
 
     Returns (x1 jet normalized to unit linear coefficient, word, d).
     """
@@ -75,19 +71,16 @@ def find_maximal_contact(inst: PointedInstance, a):
         n = a * b
         if n.denominator != 1 or not 1 <= n <= inst.context.truncation:
             continue
-        level = {f: ()}
-        for step in range(int(n)):
-            if any(g.is_unit() for g in level):
+        levels = derivative_levels(F, [(f, ())], distinct_jets)
+        for k, level in enumerate(islice(levels, int(n) + 1)):
+            units = [(g, w) for g, w in level if g.is_unit()]
+            if units and k < n:
                 break  # ord_F(f) < a*b
-            nxt = {}
-            for g, word in level.items():
-                for i, d in enumerate(F.generators):
-                    dg = d.apply(g)
-                    if step == n - 1 and dg.is_unit():
-                        return g * (Q(1) / dg.constant_term()), word, d
-                    if not dg.is_zero():
-                        nxt.setdefault(dg, word + (i,))
-            level = nxt
+            if units:
+                dg, word = units[0]
+                x1 = parent[word[:-1]] * (Q(1) / dg.constant_term())
+                return x1, word[:-1], F.generators[word[-1]]
+            parent = {w: g for g, w in level}
     raise BudgetExhausted(
         "no maximal contact found at order %s despite finite F-order "
         "(precision exhausted)" % a)

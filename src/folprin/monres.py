@@ -229,8 +229,7 @@ def _assert_same_matrix(M: MonomialPresentation, B, F2: Foliation):
             "got  %s\nwant %s" % (got, want), None)
 
 
-def monomial_resolve(M: MonomialPresentation,
-                     sample_budget: int = 256) -> List[ResolveStep]:
+def monomial_resolve(M: MonomialPresentation) -> List[ResolveStep]:
     """The smoothing loop: blow up the sm-rank center with all weights 1,
     transform, certify the strict sm-rank increase on the sampled
     punctured exceptional locus, and recurse into local models at the
@@ -272,10 +271,9 @@ def monomial_resolve(M: MonomialPresentation,
         # deterministic samples: every 0/1 pattern of the primed center
         # variables except all-zero (the punctured locus), s = 0, the rest 0
         patterns = list(_bit_patterns(len(cvars)))
-        if len(patterns) > sample_budget:
+        if len(patterns) > 256:
             raise BudgetExhausted(
-                "%d sample patterns exceed the budget %d"
-                % (len(patterns), sample_budget))
+                "%d sample patterns exceed the budget 256" % len(patterns))
         full = cur.full_rank()
         samples = []
         continued = []

@@ -238,26 +238,21 @@ def rectify_coordinate(d: Derivation, x1: str, budget: int = None) -> RectifiedC
     return RectifiedChart(ctx, x1, chart, dr, budget)
 
 
-def is_independent(nabla: Derivation, x1: str, dx1: Derivation = None,
-                   budget: int = None) -> bool:
-    """nabla(x1) = 0 and [nabla, d/dx1] = 0 up to the budget."""
+def is_independent(nabla: Derivation, x1: str) -> bool:
+    """nabla(x1) = 0 and [nabla, d/dx1] = 0 below the truncation."""
     ctx = nabla.context
-    if budget is None:
-        budget = ctx.truncation - 1
-    if dx1 is None:
-        dx1 = Derivation.partial(ctx, x1)
     if not nabla.apply(Jet.variable(ctx, x1)).is_zero():
         return False
-    br = lie_bracket(dx1, nabla)
+    br = lie_bracket(Derivation.partial(ctx, x1), nabla)
     for c in br.coefficients.values():
         if c.is_zero():
             continue
-        if (c.order() or 0) < budget:
+        if (c.order() or 0) < ctx.truncation - 1:
             return False
     return True
 
 
-def split_foliation(F: Foliation, x1: str, d: Derivation, budget: int = None):
+def split_foliation(F: Foliation, x1: str, d: Derivation):
     """Rectify (x1, d) and return (chart, [d/dx1, nabla_1..nabla_m]) with
     the nablas independent of (x1, d/dx1).
 
@@ -265,8 +260,7 @@ def split_foliation(F: Foliation, x1: str, d: Derivation, budget: int = None):
     [d/dx1, corrected generator] escapes the corrected span).
     """
     ctx = F.context
-    if budget is None:
-        budget = ctx.truncation
+    budget = ctx.truncation
     chart = rectify_coordinate(d, x1, budget)
     dx1 = Derivation.partial(ctx, x1)
     # push generators into rectified coordinates and kill their d/dx1 part
@@ -303,7 +297,7 @@ def split_foliation(F: Foliation, x1: str, d: Derivation, budget: int = None):
         amat.append(coeffs)
     nablas = _solve_mu_system(ctx, x1, corrected, amat, budget)
     for nb in nablas:
-        if not is_independent(nb, x1, dx1, budget - 1):
+        if not is_independent(nb, x1):
             raise CertificateFailure("split generator %s is not independent of (%s, d/d%s)"
                                      % (nb, x1, x1))
     return chart, [dx1] + nablas

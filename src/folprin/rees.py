@@ -12,14 +12,16 @@ computed symbolically.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import zip_longest
-from math import gcd
+from itertools import islice, zip_longest
+from math import ceil, gcd
 from typing import Iterable, Sequence, Tuple
 
 from .kernel import (
     ContextMismatch, IdealGens, Jet, Q, RingContext, grlex_key, scalar_multiple,
 )
-from .foliation import BudgetExhausted, Foliation
+from .foliation import (
+    BudgetExhausted, Foliation, derivative_levels, distinct_jets,
+)
 
 
 def rational_lcm(values: Sequence[Fraction]) -> Fraction:
@@ -233,34 +235,21 @@ def coefficient_rees(R: ReesAlgebra, F: Foliation, a) -> ReesAlgebra:
     del_1...del_alpha(f) placed at degree b - alpha/a, for alpha < a*b.
 
     a must be the (finite) F-order of R; words run over sequences of F
-    generators in shortlex order, scalar-duplicate results pruned.
+    generators in shortlex order, scalar-duplicate results pruned.  Each
+    level walks distinct jets only: the derivatives of a repeated jet
+    repeat those of its first copy, earlier in the same level.
     """
     a = Q(a)
-    ctx = R.context
     out = list(R.generators)
     for f, b in R.generators:
-        limit = a * b  # alpha stays strictly below this
-        frontier = [f]
-        alpha = 0
-        while True:
-            alpha += 1
-            if Q(alpha) >= limit:
-                break
-            new = []
-            for g in frontier:
-                for d in F.generators:
-                    h = d.apply(g)
-                    if not h.is_zero():
-                        new.append(h)
-            if not new:
-                break
-            deg = b - Q(alpha) / a
-            for h in new:
+        levels = derivative_levels(F, [(f, ())], distinct_jets)
+        for alpha, level in enumerate(islice(levels, ceil(a * b))):
+            deg = b - alpha / a
+            for h, _ in level:
                 if not any(d == deg and scalar_multiple(h.terms, g.terms)
                            for g, d in out):
                     out.append((h, deg))
-            frontier = new
-    return ReesAlgebra(ctx, out)
+    return ReesAlgebra(R.context, out)
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,17 @@ def test_partial_transforms_cleanly():
         assert (k == 1) == (mode == "strict") or mode == "controlled"
 
 
+def test_derivation_modes_are_controlled_and_strict():
+    ctx = ctx2()
+    B = build_cobordant(Center(ctx, transverse=[("x", Q(1)), ("y", Q(1))]))
+    d = parse_derivation(ctx, "x*d/dy")
+    assert transform_derivation(B, d) == transform_derivation(B, d, "controlled")
+    for call in (lambda: transform_derivation(B, d, "total"),
+                 lambda: transform_foliation(B, Foliation(ctx, [d]), "total")):
+        with pytest.raises(ValueError):
+            call()
+
+
 def test_etale_chart_report():
     ctx = RingContext(["x", "y", "z"], truncation=28)
     C = Center(ctx, transverse=[("x", Q(4)), ("y", Q(7)), ("z", Q(20))])

@@ -1,7 +1,7 @@
 """Byte-identity of the CLI on the checked-in instances.
 
-`golden/cli.json` holds the output and exit code of `principalize --json`
-and `inv --json` on every `instances/*.fol` but ex510 (whose invariant
+`golden/cli.json` holds the output and exit code of `principalize --json`,
+`inv --json` and `order` on every `instances/*.fol` but ex510 (whose invariant
 computation does not finish), at truncations 6, 7 and 8, in both modes.
 A change that should keep every answer must keep this file.
 
@@ -26,7 +26,7 @@ def _cases():
             continue
         for n in (6, 7, 8):
             for mode in ("controlled", "strict"):
-                for command in ("principalize", "inv"):
+                for command in ("principalize", "inv", "order"):
                     key = "%s %s N=%d %s" % (command, path.name, n, mode)
                     yield key, [command, str(path), "--json", "--mode", mode,
                                 "--truncation", str(n)]

@@ -11,6 +11,7 @@ from folprin import (
     f_order_rees, is_f_invariant, lie_bracket, log_smooth_at,
     parse_derivation, parse_poly, rees_from_ideal, sm_rank_at,
 )
+from folprin import foliation
 from folprin.foliation import (
     in_jet_span, jet_module_coeffs, log_rank_at, membership_degree,
     rees_piece_gens,
@@ -128,6 +129,19 @@ def test_f_infty_saturates():
     R = rees_from_ideal(IdealGens(CTX, [J("x*y")]))
     Rinf = f_infty(F, R)
     assert is_f_invariant(F, Rinf)
+
+
+def test_f_infty_builds_each_piece_once(monkeypatch):
+    # x*y and x^2 are F-invariant: no derivative is kept, so the degree-1
+    # piece is built once for the three nonzero derivatives
+    F = Foliation(CTX, [D("x*d/dx"), D("y*d/dy")])
+    R = ReesAlgebra(CTX, [(J("x*y"), Q(1)), (J("x^2"), Q(1))])
+    built = []
+    monkeypatch.setattr(foliation, "rees_piece_gens",
+                        lambda R, b: built.append(b) or rees_piece_gens(R, b))
+    assert f_infty(F, R) == R
+    assert is_f_invariant(F, R)
+    assert built == [Q(1), Q(1)]
 
 
 def _reference_piece_gens(R, b):

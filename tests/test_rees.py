@@ -95,6 +95,31 @@ def test_coefficient_rees_contains_derivative_shifts():
     assert any(b == Q(1, 2) for _, b in C.generators)
 
 
+def test_coefficient_rees_walks_each_jet_once(monkeypatch):
+    # y*z is F-invariant: each of the 2^k words of length k over y*d/dy,
+    # z*d/dz gives y*z again, so walking every word of length below
+    # a*b = 12 applies 3 * (2^11 - 1) derivations to it
+    ctx = RingContext(["x", "y", "z"], truncation=10)
+    F = Foliation(ctx, [parse_derivation(ctx, t)
+                        for t in ("d/dx", "y*d/dy", "z*d/dz")])
+    R = ReesAlgebra(ctx, [(J("y*z", ctx), Q(4)), (J("x^3", ctx), Q(1))])
+    calls = [0]
+    apply = Derivation.apply
+
+    def counting_apply(d, f):
+        calls[0] += 1
+        return apply(d, f)
+
+    monkeypatch.setattr(Derivation, "apply", counting_apply)
+    C = coefficient_rees(R, F, Q(3))
+    monkeypatch.undo()
+    want = {("y*z", Q(12 - k, 3)) for k in range(12)}
+    want |= {("x^3", Q(1)), ("3*x^2", Q(2, 3)), ("6*x", Q(1, 3))}
+    assert {(str(f), b) for f, b in C.generators} == want
+    # 3 derivations on one jet per level: 11 levels of y*z, 2 of x^3
+    assert calls[0] <= 3 * 13
+
+
 # -- the invariant value order ----------------------------------------------
 
 def test_invvalue_tiers_and_lift():
