@@ -172,14 +172,8 @@ def transform_rees(B: Cobordism, R: ReesAlgebra, mode: str = "controlled") -> Re
     if mode == "controlled" and not R.is_trivial():
         if not is_admissible(R, B.center):
             raise ValueError("center is not admissible for this Rees algebra")
-    gens = []
-    for f, b in R.generators:
-        if mode == "controlled":
-            g, _ = transform_element(B, f, "controlled", a=b)
-        else:
-            g, _ = transform_element(B, f, "strict")
-        gens.append((g, b))
-    return ReesAlgebra(B.target, gens)
+    return ReesAlgebra(B.target, [(transform_element(B, f, mode, a=b)[0], b)
+                                  for f, b in R.generators])
 
 
 def transform_derivation(B: Cobordism, d: Derivation,

@@ -520,29 +520,6 @@ def _eval_jet(f: Jet, point) -> Fraction:
     return acc
 
 
-def _symbolic_rank(jet_matrix) -> int:
-    """Rank over the fraction field, estimated as the max evaluated rank
-    over a deterministic rational sample (exact from below; the sample is
-    large enough for the low-degree data we handle)."""
-    if not jet_matrix:
-        return 0
-    ctx = jet_matrix[0][0].context if jet_matrix[0] else None
-    if ctx is None:
-        return 0
-    nvars = len(ctx.variables)
-    best = 0
-    samples = []
-    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-    for shift in range(6):
-        samples.append([Q(primes[(i + shift) % len(primes)], shift + 1)
-                        for i in range(nvars)])
-    samples.append([Q(0)] * nvars)
-    for pt in samples:
-        mat = [[_eval_jet(f, pt) for f in row] for row in jet_matrix]
-        best = max(best, rank(mat))
-    return best
-
-
 def log_rank_at(F: Foliation) -> int:
     """Rank at the origin of F in the log basis: the rank of the constant
     terms of its log-basis matrix.  F lies in the free module D^log, so by
@@ -551,12 +528,11 @@ def log_rank_at(F: Foliation) -> int:
     return rank([[f.constant_term() for f in row] for row in _log_basis_matrix(F)])
 
 
-def log_smooth_at(F: Foliation) -> bool:
+def log_smooth_at(F: Foliation, generic_rank: int) -> bool:
     """Lemma-7.2 style test at the origin: the constant-term matrix in the
-    log basis has rank equal to the generic rank of the presentation."""
-    if F.is_zero():
-        return True
-    return log_rank_at(F) == _symbolic_rank(_log_basis_matrix(F))
+    log basis has rank equal to the generic rank of the presentation, which
+    the caller knows exactly (a monomial presentation's `full_rank`)."""
+    return log_rank_at(F) == generic_rank
 
 
 def sm_rank_at(F: Foliation, point) -> int:

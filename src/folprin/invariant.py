@@ -145,12 +145,11 @@ def _case_one(ctx, R, F, a, depth):
     sub_entries, sub_tiers, sub_map = _worker(subctx, Csub, FH, depth + 1)
     entries = [fin(a)] + sub_entries
     tiers = [(v, a, 0)] + sub_tiers
-    # compose: ambient -> contact coords -> rectified coords -> sub-aligned
-    total = cc.then(rect)
+    # compose the inverses: ambient -> contact coords -> rectified coords
+    # -> sub-aligned
     lifted_sub = {w: g.rename(ctx) for w, g in sub_map.items()}
-    out_map = {}
-    for u in ctx.variables:
-        out_map[u] = total.inverse[u].substitute(lifted_sub, ctx)
+    out_map = {u: cc.inverse[u].substitute(rect.inverse, ctx)
+               .substitute(lifted_sub, ctx) for u in ctx.variables}
     return entries, tiers, out_map
 
 

@@ -567,10 +567,17 @@ def _tokenize(text):
 
 
 class _Parser:
+    """Recursive descent over the tokens.  Every rule returns the jet and
+    a bound on the degree of the exact polynomial read off the syntax
+    (constants 0, variables 1, sums the max, products the sum, powers the
+    multiple); `peak` is the largest bound of any subexpression, so when it
+    is within the truncation no term was clipped on the way."""
+
     def __init__(self, ctx, toks):
         self.ctx = ctx
         self.toks = toks
         self.pos = 0
+        self.peak = 0
 
     def peek(self):
         return self.toks[self.pos][0]
@@ -582,40 +589,46 @@ class _Parser:
         self.pos += 1
         return v
 
+    def bounded(self, f, bound):
+        self.peak = max(self.peak, bound)
+        return f, bound
+
     def expr(self):
         if self.peek() == "-":
             self.take()
-            acc = -self.term()
+            acc, deg = self.term()
+            acc = -acc
         else:
             if self.peek() == "+":
                 self.take()
-            acc = self.term()
+            acc, deg = self.term()
         while self.peek() in "+-":
             op = self.take()
-            t = self.term()
+            t, k = self.term()
             acc = acc + t if op == "+" else acc - t
-        return acc
+            deg = max(deg, k)
+        return acc, deg
 
     def term(self):
-        acc = self.factor()
+        acc, deg = self.factor()
         while self.peek() in ("*", "/"):
             op = self.take()
-            f = self.factor()
+            f, k = self.factor()
             if op == "*":
-                acc = acc * f
+                acc, deg = self.bounded(acc * f, deg + k)
             else:
                 if f.terms and list(f.terms) != [(0,) * len(self.ctx.variables)]:
                     raise ParseError("division only by rational constants")
                 acc = acc * (Q(1) / f.constant_term())
-        return acc
+        return acc, deg
 
     def factor(self):
-        base = self.atom()
+        base, deg = self.atom()
         if self.peek() == "^":
             self.take()
             k = int(self.take("num"))
-            base = base ** k
-        return base
+            base, deg = self.bounded(base ** k, deg * k)
+        return base, deg
 
     def atom(self):
         k = self.peek()
@@ -625,16 +638,23 @@ class _Parser:
             self.take(")")
             return e
         if k == "num":
-            return Jet.const(self.ctx, int(self.take()))
+            return Jet.const(self.ctx, int(self.take())), 0
         if k == "name":
             name = self.take()
             if name not in self.ctx.variables:
                 raise ParseError("unknown variable %r" % name)
-            return Jet.variable(self.ctx, name)
+            return self.bounded(Jet.variable(self.ctx, name), 1)
         if k == "-":
             self.take()
-            return -self.atom()
+            f, deg = self.atom()
+            return -f, deg
         raise ParseError("unexpected token %r" % k)
+
+    def parse(self, text):
+        f, _ = self.expr()
+        if self.peek() != "end":
+            raise ParseError("trailing input after polynomial in %r" % text)
+        return f
 
 
 def parse_poly(ctx: RingContext, text: str) -> Jet:
@@ -642,16 +662,16 @@ def parse_poly(ctx: RingContext, text: str) -> Jet:
 
     Raises TruncationOverflow when the exact input polynomial has a term of
     degree beyond the context truncation (silent truncation of user input
-    would be a lie).
+    would be a lie).  When the syntactic degree bound exceeds the
+    truncation, the input is parsed again at that bound, where nothing is
+    clipped, so cancellations such as x^40 - x^40 are still exact.
     """
     toks = _tokenize(text)
-    # degree sentinel: parse in a context with doubled truncation and
-    # compare, so inputs beyond N are rejected rather than clipped.
-    wide = ctx.with_truncation(2 * ctx.truncation + 2)
-    p = _Parser(wide, toks)
-    f = p.expr()
-    if p.peek() != "end":
-        raise ParseError("trailing input after polynomial in %r" % text)
+    p = _Parser(ctx, toks)
+    f = p.parse(text)
+    if p.peak <= ctx.truncation:
+        return f
+    f = _Parser(ctx.with_truncation(p.peak), toks).parse(text)
     if f.degree() > ctx.truncation:
         raise TruncationOverflow(
             "polynomial degree %d exceeds truncation %d" % (f.degree(), ctx.truncation))

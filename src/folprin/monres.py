@@ -298,7 +298,7 @@ def monomial_resolve(M: MonomialPresentation) -> List[ResolveStep]:
                                  depth + 1))
             else:
                 shifted = F2.translate(dict(zip(B.target.variables, point)))
-                if not log_smooth_at(shifted):
+                if not log_smooth_at(shifted, full):
                     raise SmRankFailure(
                         "full sm-rank yet not log-smooth at %s" % (point,),
                         point)

@@ -10,9 +10,16 @@ certificate (all terms of d(y_hat) have x1-degree >= budget).  The
 displayed recursion in the source theorem carries the other sign and fails
 this certificate, so the alternating form is the one implemented.
 
-Splitting then completes {d/dx1} to a spanning set {d/dx1, nabla_j} with
-each nabla independent of (x1, d/dx1): coefficients are corrected by the
-fundamental solution mu of mu' = -mu*A, solved degree by degree in x1.
+Splitting restricts the foliation to H = V(x1).  In rectified coordinates
+d = d/dx1 lies in F, so F = <d/dx1> + <H_i> with H_i the generators minus
+their d/dx1 part.  Involutivity gives [d/dx1, H_i] = sum_j A_ij H_j, and the
+fundamental solution mu of mu' = -mu*A with mu(0) = 1 turns the H_i into
+generators sum_j mu_ij H_j free of x1: F = <d/dx1> (+) F_H.  At x1 = 0 they
+are the H_i themselves, so F_H is generated by the H_i at x1 = 0 and no ODE
+is solved.  The bracket solve is kept as the certificate: every residual
+[d/dx1, H_i] - sum_j A_ij H_j has coefficients of order >= N - 1, which is
+the same as [d/dx1, sum_j mu_ij H_j] = sum_j mu_ij r_j vanishing there,
+because mu is invertible.
 """
 
 from __future__ import annotations
@@ -56,11 +63,6 @@ class CoordinateChange:
     def __setattr__(self, *a):
         raise AttributeError("CoordinateChange is immutable")
 
-    @staticmethod
-    def identity(ctx: RingContext) -> "CoordinateChange":
-        ident = {v: Jet.variable(ctx, v) for v in ctx.variables}
-        return CoordinateChange(ctx, ident, inverse=ident)
-
     def push_jet(self, f: Jet) -> Jet:
         """Rewrite a function of the old coordinates in the new ones."""
         return f.substitute(self.inverse, self.context)
@@ -75,14 +77,6 @@ class CoordinateChange:
             if not c.is_zero():
                 coeffs[v] = c
         return Derivation(self.context, coeffs)
-
-    def then(self, other: "CoordinateChange") -> "CoordinateChange":
-        """First self, then other (other's old coordinates are self's new)."""
-        images = {v: other.images[v].substitute(self.images, self.context)
-                  for v in self.context.variables}
-        inverse = {v: self.inverse[v].substitute(other.inverse, self.context)
-                   for v in self.context.variables}
-        return CoordinateChange(self.context, images, inverse=inverse)
 
 
 def invert_jet_map(ctx: RingContext, images: Mapping[str, Jet]) -> dict:
@@ -238,26 +232,14 @@ def rectify_coordinate(d: Derivation, x1: str, budget: int = None) -> RectifiedC
     return RectifiedChart(ctx, x1, chart, dr, budget)
 
 
-def is_independent(nabla: Derivation, x1: str) -> bool:
-    """nabla(x1) = 0 and [nabla, d/dx1] = 0 below the truncation."""
-    ctx = nabla.context
-    if not nabla.apply(Jet.variable(ctx, x1)).is_zero():
-        return False
-    br = lie_bracket(Derivation.partial(ctx, x1), nabla)
-    for c in br.coefficients.values():
-        if c.is_zero():
-            continue
-        if (c.order() or 0) < ctx.truncation - 1:
-            return False
-    return True
-
-
 def split_foliation(F: Foliation, x1: str, d: Derivation):
     """Rectify (x1, d) and return (chart, [d/dx1, nabla_1..nabla_m]) with
-    the nablas independent of (x1, d/dx1).
+    the nablas free of x1 and of d/dx1: the generators of F_H on H = V(x1).
 
-    Raises when the input is not involutive to precision (the bracket
-    [d/dx1, corrected generator] escapes the corrected span).
+    Raises ValueError when the input is not involutive to precision (the
+    bracket [d/dx1, H_i] escapes the span of the H_j), and
+    CertificateFailure when the solved bracket leaves a residual below
+    order N - 1.
     """
     ctx = F.context
     budget = ctx.truncation
@@ -280,87 +262,23 @@ def split_foliation(F: Foliation, x1: str, d: Derivation):
         if flat and not any(scalar_multiple(flat, h) for h in kept_terms):
             corrected.append(gg)
             kept_terms.append(flat)
-    if not corrected:
-        return chart, [dx1]
-    # bracket matrix: [d/dx1, H_i] = sum_j A_ij H_j
+    # certificate: [d/dx1, H_i] = sum_j A_ij H_j up to order N - 1
     deg = membership_degree(ctx, corrected, ctx.truncation - 1)
-    amat = []
     for h in corrected:
         br = lie_bracket(dx1, h)
         if br.is_zero():
-            amat.append([Jet.zero(ctx)] * len(corrected))
             continue
         coeffs = jet_module_coeffs(br, corrected, deg)
         if coeffs is None:
             raise ValueError(
                 "foliation is not involutive to precision: bracket %s escapes" % br)
-        amat.append(coeffs)
-    nablas = _solve_mu_system(ctx, x1, corrected, amat, budget)
-    for nb in nablas:
-        if not is_independent(nb, x1):
-            raise CertificateFailure("split generator %s is not independent of (%s, d/d%s)"
-                                     % (nb, x1, x1))
-    return chart, [dx1] + nablas
-
-
-def _x1_decompose(f: Jet, x1: str, ctx: RingContext):
-    """Write f = sum_k coeff_k * x1^k with coeff_k free of x1."""
-    i = ctx.index(x1)
-    out = {}
-    for e, c in f.terms.items():
-        k = e[i]
-        ee = list(e)
-        ee[i] = 0
-        out.setdefault(k, {})[tuple(ee)] = c
-    return {k: Jet(ctx, terms) for k, terms in out.items()}
-
-
-def _solve_mu_system(ctx, x1, gens, amat, budget):
-    """Solve mu' = -mu*A in powers of x1 (mu_0 = identity); return the
-    corrected generators nabla_i = sum_j mu_ij H_j."""
-    m = len(gens)
-    x1jet = Jet.variable(ctx, x1)
-    # decompose A in powers of x1
-    adec = [[_x1_decompose(amat[i][j], x1, ctx) for j in range(m)] for i in range(m)]
-    maxk = 0
-    for row in adec:
-        for cell in row:
-            if cell:
-                maxk = max(maxk, max(cell))
-    # mu as list over powers k of m x m jet matrices (entries free of x1)
-    one = Jet.const(ctx, 1)
-    zero = Jet.zero(ctx)
-    mu = [[[one if i == j else zero for j in range(m)] for i in range(m)]]
-    for k in range(budget):
-        nxt = [[zero for _ in range(m)] for _ in range(m)]
-        any_nonzero = False
-        for i in range(m):
-            for j in range(m):
-                acc = zero
-                for l in range(m):
-                    for p in range(k + 1):
-                        cell = adec[l][j].get(k - p)
-                        if cell is None:
-                            continue
-                        term = mu[p][i][l] * cell
-                        if not term.is_zero():
-                            acc = acc - term
-                if not acc.is_zero():
-                    nxt[i][j] = acc * Q(1, k + 1)
-                    any_nonzero = True
-        mu.append(nxt)
-        if not any_nonzero:
-            break
-    nablas = []
-    for i in range(m):
-        total = Derivation.zero(ctx)
-        for j in range(m):
-            coeff = Jet.zero(ctx)
-            for k, mat in enumerate(mu):
-                if not mat[i][j].is_zero():
-                    coeff = coeff + mat[i][j] * (x1jet ** k)
-            if not coeff.is_zero():
-                total = total + gens[j].scale(coeff)
-        if not total.is_zero():
-            nablas.append(total)
-    return nablas
+        for a, hj in zip(coeffs, corrected):
+            br = br - hj.scale(a)
+        if any(c.order() < ctx.truncation - 1 for c in br.coefficients.values()):
+            raise CertificateFailure(
+                "bracket [d/d%s, %s] leaves the residual %s" % (x1, h, br))
+    zero = {x1: Jet.zero(ctx)}
+    nablas = [Derivation(ctx, {v: c.substitute(zero, ctx)
+                               for v, c in h.coefficients.items()})
+              for h in corrected]
+    return chart, [dx1] + [nb for nb in nablas if not nb.is_zero()]

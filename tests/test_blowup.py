@@ -139,6 +139,16 @@ def test_derivation_modes_are_controlled_and_strict():
             call()
 
 
+def test_rees_modes_are_controlled_and_strict():
+    ctx = ctx2()
+    B = build_cobordant(Center(ctx, transverse=[("x", Q(1)), ("y", Q(1))]))
+    R = ReesAlgebra(ctx, [(parse_poly(ctx, "x^2 + y^3"), 1)])
+    assert transform_rees(B, R) == transform_rees(B, R, "controlled")
+    assert transform_rees(B, R, "strict") != transform_rees(B, R)
+    with pytest.raises(ValueError):
+        transform_rees(B, R, "total")
+
+
 def test_etale_chart_report():
     ctx = RingContext(["x", "y", "z"], truncation=28)
     C = Center(ctx, transverse=[("x", Q(4)), ("y", Q(7)), ("z", Q(20))])

@@ -2,8 +2,9 @@
 
 `golden/cli.json` holds the output and exit code of `principalize --json`,
 `inv --json` and `order` on every `instances/*.fol` but ex510 (whose invariant
-computation does not finish), at truncations 6, 7 and 8, in both modes.
-A change that should keep every answer must keep this file.
+computation does not finish), at truncations 6, 7 and 8, in both modes, and
+of `monres --json` on the files with a `monomial` block and `blowup` on the
+others.  A change that should keep every answer must keep this file.
 
 Regenerate it (only when an answer is meant to change) with
 `PYTHONPATH=src python tests/test_cli_golden.py`.
@@ -24,9 +25,13 @@ def _cases():
     for path in sorted((ROOT / "instances").glob("*.fol")):
         if path.name in LEFT_OUT:
             continue
+        monomial = any(line.startswith("monomial")
+                       for line in path.read_text().splitlines())
+        commands = ("principalize", "inv", "order",
+                    "monres" if monomial else "blowup")
         for n in (6, 7, 8):
             for mode in ("controlled", "strict"):
-                for command in ("principalize", "inv", "order"):
+                for command in commands:
                     key = "%s %s N=%d %s" % (command, path.name, n, mode)
                     yield key, [command, str(path), "--json", "--mode", mode,
                                 "--truncation", str(n)]

@@ -261,6 +261,14 @@ def test_cli_error_exit_codes(tmp_path):
     assert code == 1
 
 
+def test_cli_input_beyond_truncation_is_a_budget_error(tmp_path):
+    # x^40 parsed at N = 16 must not vanish and leave y^2 to be principalized
+    inst = tmp_path / "deep.fol"
+    inst.write_text("ring x y\nideal x^40 + y^2\nfoliation d/dx\n")
+    code, text = run_cli(["inv", str(inst), "--truncation", "16"])
+    assert code == 2 and text.startswith("budget error")
+
+
 def test_cli_blowup_failure_prints_no_partial_report(tmp_path):
     # (x) is not admissible for the center (y): the controlled transform
     # fails, and the report is printed only for a finished blow-up

@@ -259,6 +259,16 @@ def test_sm_rank_and_log_smooth():
     F = Foliation(CTX, [D("x*d/dx + y^2*d/dy")])
     assert sm_rank_at(F, (Q(0), Q(0))) == 0
     assert sm_rank_at(F, (Q(1), Q(0))) == 1
-    assert not log_smooth_at(F)                      # E = {} : not log-smooth
+    assert not log_smooth_at(F, 1)                   # E = {} : not log-smooth
     FD = Foliation(CTXD, [D("x*d/dx + y^2*d/dy", CTXD)])
-    assert log_smooth_at(FD)                         # E = {x=0} : log-smooth
+    assert log_smooth_at(FD, 1)                      # E = {x=0} : log-smooth
+
+
+def test_log_smooth_reads_the_exact_generic_rank():
+    # the coefficient vanishes at 0, 2, 3/2, 5/3, 7/4, 11/5 and 13/6, so a
+    # rank sampled at those points reads 0 and calls the origin smooth
+    ctx = RingContext(["x"], truncation=8)
+    F = Foliation(ctx, [parse_derivation(
+        ctx, "x*(x-2)*(2*x-3)*(3*x-5)*(4*x-7)*(5*x-11)*(6*x-13)*d/dx")])
+    assert log_rank_at(F) == 0
+    assert not log_smooth_at(F, 1)

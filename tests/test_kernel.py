@@ -92,6 +92,18 @@ def test_parse_rejects_overdeep_input():
         parse_poly(CTX, "x +")
 
 
+def test_parse_never_clips_beyond_the_truncation():
+    ctx = RingContext(["x", "y"], truncation=16)
+    with pytest.raises(TruncationOverflow):
+        parse_poly(ctx, "x^35 + y")
+    with pytest.raises(TruncationOverflow):
+        parse_poly(ctx, "(x^5 + y)^7 - y^7")
+    # a syntactic degree beyond N is fine when the terms cancel exactly
+    assert parse_poly(ctx, "x^40 - x^40 + y") == parse_poly(ctx, "y")
+    assert parse_poly(ctx, "(x^9 + y)^2 - x^18 - 2*x^9*y") == \
+        parse_poly(ctx, "y^2")
+
+
 def test_parse_rational_coefficients():
     f = J("1/2*x^2 - 3*y + 7")
     assert f.coefficient({"x": 2}) == Q(1, 2)

@@ -8,11 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from folprin import (
     CertificateFailure, CoordinateChange, Derivation, Foliation, Jet, Q,
-    RingContext, invert_jet_map, parse_derivation, parse_poly,
+    RingContext, invert_jet_map, lie_bracket, parse_derivation, parse_poly,
     rectify_coordinate, split_foliation,
 )
-from folprin.kernel import inverse
-from folprin.rectify import is_independent
+from folprin import rectify
+from folprin.foliation import (
+    jet_module_coeffs, membership_degree, restrict_to_hypersurface,
+)
+from folprin.kernel import inverse, scalar_multiple
 
 CTX = RingContext(["x", "y"], truncation=10)
 CTXD = RingContext(["x", "y"], divisor=["y"], truncation=10)
@@ -196,10 +199,12 @@ def test_coordinate_change_push_pull():
     assert d.coefficient("y") == J("2*x")
 
 
-def test_is_independent():
-    assert is_independent(D("d/dy"), "x")
-    assert is_independent(D("y*d/dy"), "x")
-    assert not is_independent(D("x*d/dy"), "x")
+def _free_of(nabla, x1):
+    """No d/dx1 part and no x1 in any coefficient."""
+    i = nabla.context.index(x1)
+    return (x1 not in nabla.coefficients
+            and all(e[i] == 0 for c in nabla.coefficients.values()
+                    for e in c.terms))
 
 
 def test_split_trivial():
@@ -207,7 +212,7 @@ def test_split_trivial():
     chart, gens = split_foliation(F, "x", D("d/dx"))
     assert gens[0] == Derivation.partial(CTX, "x")
     assert len(gens) == 2
-    assert is_independent(gens[1], "x")
+    assert _free_of(gens[1], "x")
 
 
 def test_split_mu_correction():
@@ -218,7 +223,7 @@ def test_split_mu_correction():
     chart, gens = split_foliation(F, "x", parse_derivation(ctx, "d/dx"))
     assert gens[0] == Derivation.partial(ctx, "x")
     for nb in gens[1:]:
-        assert is_independent(nb, "x")
+        assert _free_of(nb, "x")
     got = {str(d) for d in gens}
     assert got == {"d/dx", "d/dy", "d/dz"}
 
@@ -227,3 +232,142 @@ def test_split_single_generator():
     F = Foliation(CTX, [D("d/dx - y*d/dy")])
     chart, gens = split_foliation(F, "x", D("d/dx - y*d/dy"))
     assert gens == [Derivation.partial(CTX, "x")]
+
+
+def test_split_certificate_catches_a_wrong_multiplier(monkeypatch):
+    # [d/dx, d/dy + x*d/dz] = d/dz; a perturbed multiplier leaves a residual
+    ctx = RingContext(["x", "y", "z"], truncation=8)
+    F = Foliation(ctx, [parse_derivation(ctx, "d/dx"),
+                        parse_derivation(ctx, "d/dy + x*d/dz"),
+                        parse_derivation(ctx, "d/dz")])
+    solve = rectify.jet_module_coeffs
+
+    def perturbed(target, gens, degree):
+        coeffs = solve(target, gens, degree)
+        return [coeffs[0] + Jet.const(ctx, 1)] + coeffs[1:]
+
+    monkeypatch.setattr(rectify, "jet_module_coeffs", perturbed)
+    with pytest.raises(CertificateFailure):
+        split_foliation(F, "x", parse_derivation(ctx, "d/dx"))
+
+
+def _ref_split_foliation(F, x1, d):
+    """The split by the fundamental solution mu of mu' = -mu*A, solved
+    degree by degree in x1 with mu(0) = 1: nabla_i = sum_j mu_ij H_j,
+    each certified to satisfy nabla(x1) = 0 and [d/dx1, nabla] = 0 below
+    order N - 1.  Every degree up to N is solved: a zero mu_k does not make
+    the later ones zero (d = d/dx + x^2*d/dy in {d/dx, d/dy} has mu_1 = 0
+    and mu_2 != 0)."""
+    ctx = F.context
+    budget = ctx.truncation
+    chart = rectify_coordinate(d, x1, budget)
+    dx1 = Derivation.partial(ctx, x1)
+    corrected, kept_terms = [], []
+    for g in F.generators:
+        gg = chart.change.push_derivation(g)
+        gg = Derivation(ctx, {v: c.truncate(budget - 1)
+                              for v, c in gg.coefficients.items()})
+        cx = gg.coefficient(x1)
+        if not cx.is_zero():
+            gg = gg - dx1.scale(cx)
+        flat = {(v, e): a for v, c in gg.coefficients.items()
+                for e, a in c.terms.items()}
+        if flat and not any(scalar_multiple(flat, h) for h in kept_terms):
+            corrected.append(gg)
+            kept_terms.append(flat)
+    if not corrected:
+        return chart, [dx1]
+    m = len(corrected)
+    deg = membership_degree(ctx, corrected, ctx.truncation - 1)
+    amat = []
+    for h in corrected:
+        br = lie_bracket(dx1, h)
+        if br.is_zero():
+            amat.append([Jet.zero(ctx)] * m)
+            continue
+        coeffs = jet_module_coeffs(br, corrected, deg)
+        if coeffs is None:
+            raise ValueError("bracket %s escapes" % br)
+        amat.append(coeffs)
+    i1 = ctx.index(x1)
+
+    def x1_decompose(f):
+        out = {}
+        for e, c in f.terms.items():
+            ee = list(e)
+            ee[i1] = 0
+            out.setdefault(e[i1], {})[tuple(ee)] = c
+        return {k: Jet(ctx, terms) for k, terms in out.items()}
+
+    adec = [[x1_decompose(amat[i][j]) for j in range(m)] for i in range(m)]
+    one, zero = Jet.const(ctx, 1), Jet.zero(ctx)
+    mu = [[[one if i == j else zero for j in range(m)] for i in range(m)]]
+    for k in range(budget):
+        nxt = [[zero] * m for _ in range(m)]
+        for i in range(m):
+            for j in range(m):
+                acc = zero
+                for l in range(m):
+                    for p in range(k + 1):
+                        cell = adec[l][j].get(k - p)
+                        if cell is not None:
+                            acc = acc - mu[p][i][l] * cell
+                nxt[i][j] = acc * Q(1, k + 1)
+        mu.append(nxt)
+    x1jet = Jet.variable(ctx, x1)
+    nablas = []
+    for i in range(m):
+        total = Derivation.zero(ctx)
+        for j in range(m):
+            coeff = sum((mat[i][j] * x1jet ** k for k, mat in enumerate(mu)),
+                        Jet.zero(ctx))
+            total = total + corrected[j].scale(coeff)
+        if total.is_zero():
+            continue
+        br = lie_bracket(dx1, total)
+        if (not total.apply(x1jet).is_zero()
+                or any(c.order() < ctx.truncation - 1
+                       for c in br.coefficients.values())):
+            raise CertificateFailure("%s is not independent of %s" % (total, x1))
+        nablas.append(total)
+    return chart, [dx1] + nablas
+
+
+@st.composite
+def transverse_foliations(draw):
+    """(F, d): {d/dx, u*d/dy} or {d/dx, u*y*d/dy} with u a unit, pushed
+    through a random polynomial automorphism, y optionally divisorial; d is
+    the first generator plus g times the second, g a random jet, so that d
+    does not commute with F."""
+    divisor = draw(st.booleans())
+    ctx = RingContext(["x", "y"], divisor=["y"] if divisor else [],
+                      truncation=draw(st.integers(5, 8)))
+    y = Jet.variable(ctx, "y")
+    images = draw(polynomial_automorphisms(ctx))
+    if divisor:
+        # keep y a unit multiple of y, so the divisor stays V(y)
+        images["y"] = y + y * (images["y"] - y)
+    cc = CoordinateChange(ctx, images)
+    unit = draw(nonlinear_tails(ctx)) + 1
+    second = (Derivation(ctx, {"y": y}) if divisor or draw(st.booleans())
+              else Derivation.partial(ctx, "y")).scale(unit)
+    gens = [cc.push_derivation(g)
+            for g in (Derivation.partial(ctx, "x"), second)]
+    g = draw(nonlinear_tails(ctx)) + draw(small_fractions)
+    return Foliation(ctx, gens), gens[0] + gens[1].scale(g)
+
+
+def _restricted_split(split, F, d):
+    try:
+        _, gens = split(F, "x", d)
+    except (ValueError, CertificateFailure) as exc:
+        return type(exc)
+    return restrict_to_hypersurface(Foliation(F.context, gens), "x").generators
+
+
+@settings(max_examples=40, deadline=None)
+@given(transverse_foliations())
+def test_split_matches_fundamental_solution(case):
+    F, d = case
+    assert (_restricted_split(split_foliation, F, d)
+            == _restricted_split(_ref_split_foliation, F, d))
