@@ -158,7 +158,7 @@ def parse_instance(text: str, truncation: Optional[int] = None) -> Instance:
     ctx = RingContext(variables, divisor=divisor, truncation=N)
 
     _, ideal_text = only("ideal")
-    _, rees_text = only("rees")
+    rees_line, rees_text = only("rees")
     if ideal_text and rees_text:
         raise ParseError("give either 'ideal' or 'rees', not both")
     if rees_text:
@@ -170,7 +170,7 @@ def parse_instance(text: str, truncation: Optional[int] = None) -> Instance:
             poly, _, deg = part.rpartition("@")
             if not poly:
                 raise ParseError("rees generator %r lacks '@degree'" % part)
-            gens.append((parse_poly(ctx, poly), Q(deg)))
+            gens.append((parse_poly(ctx, poly), _rational(deg, rees_line)))
         R = ReesAlgebra(ctx, gens)
     elif ideal_text:
         gens = [parse_poly(ctx, part) for part in ideal_text.split(";")
@@ -186,7 +186,7 @@ def parse_instance(text: str, truncation: Optional[int] = None) -> Instance:
     else:
         F = Foliation.full(ctx)
 
-    _, center_text = only("center")
+    center_line, center_text = only("center")
     explicit_center = None
     if center_text:
         transverse, divisorial = [], []
@@ -194,7 +194,8 @@ def parse_instance(text: str, truncation: Optional[int] = None) -> Instance:
             v, _, w = part.partition("@")
             if v not in variables:
                 raise ParseError("center variable %r not in the ring" % v)
-            (divisorial if ctx.is_divisor(v) else transverse).append((v, Q(w)))
+            (divisorial if ctx.is_divisor(v) else transverse).append(
+                (v, _rational(w, center_line)))
         explicit_center = Center(ctx, transverse=transverse,
                                  divisorial=divisorial)
 
@@ -212,9 +213,16 @@ def parse_instance(text: str, truncation: Optional[int] = None) -> Instance:
         if len(coords) != len(variables):
             raise ParseError("line %d: point has %d coordinates for %d variables"
                              % (n, len(coords), len(variables)))
-        points.append({v: Q(c) for v, c in zip(variables, coords)})
+        points.append({v: _rational(c, n) for v, c in zip(variables, coords)})
     return Instance(ctx, R, F, points, monomial=monomial,
                     explicit_center=explicit_center, subspace=subspace)
+
+
+def _rational(text: str, lineno: int) -> Fraction:
+    try:
+        return Q(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError("line %d: bad rational number %r" % (lineno, text)) from None
 
 
 def _parse_monomial_block(text: str, truncation: int,
@@ -382,18 +390,8 @@ def _is_principalized(R: ReesAlgebra, mode: str) -> bool:
 
 
 def _rewrite_derivation(center: Center, d: Derivation) -> Derivation:
-    """Express an ambient derivation in the center's aligned coordinates:
-    the new coefficient at u is D(chart_u) rewritten through the chart."""
-    ctx = center.context
-    if not center.inverse_chart:
-        return d
-    coeffs = {}
-    for u in ctx.variables:
-        chart_u = center.chart.get(u, Jet.variable(ctx, u))
-        c = center.rewrite(d.apply(chart_u))
-        if not c.is_zero():
-            coeffs[u] = c
-    return Derivation(ctx, coeffs)
+    """Express an ambient derivation in the center's aligned coordinates."""
+    return d if center.change is None else center.change.push_derivation(d)
 
 
 def _coordinate_center(center: Center) -> Center:

@@ -541,27 +541,6 @@ def sm_rank_at(F: Foliation, point) -> int:
                  for d in F.generators])
 
 
-def restrict_to_hypersurface(F: Foliation, x1: str) -> Foliation:
-    """Restrict a split presentation {d_x1, nabla_j} to H = V(x1): keep the
-    nabla generators (those with no d/dx1 component), set x1 = 0."""
-    ctx = F.context
-    sub = ctx.drop(x1)
-    gens = []
-    for d in F.generators:
-        cx = d.coefficient(x1)
-        if cx.is_unit():
-            continue  # the transverse generator itself dies on H
-        if not cx.is_zero():
-            raise ValueError("generator %s is not in split form along %s" % (d, x1))
-        coeffs = {}
-        for v, c in d.coefficients.items():
-            restricted = c.substitute({x1: Jet.zero(ctx)}, ctx).rename(sub)
-            if not restricted.is_zero():
-                coeffs[v] = restricted
-        gens.append(Derivation(sub, coeffs))
-    return Foliation(sub, gens)
-
-
 # ---------------------------------------------------------------------------
 # parsing / printing of derivations
 

@@ -27,10 +27,11 @@ from itertools import islice
 from .foliation import (
     BudgetExhausted, Foliation, INFINITE, IdealGens, derivative_levels,
     distinct_jets, f_infty, f_order_rees, log_rank_at,
-    restrict_to_hypersurface,
 )
 from .kernel import Jet, Q, RingContext, rank
-from .rectify import CertificateFailure, CoordinateChange, split_foliation
+from .rectify import (
+    CertificateFailure, CoordinateChange, invert_jet_map, split_foliation,
+)
 from .rees import (
     Center, InvValue, InvVector, ReesAlgebra, center_inv, coefficient_rees,
     fin, is_admissible, rees_from_ideal,
@@ -131,18 +132,11 @@ def _case_one(ctx, R, F, a, depth):
     F1 = Foliation(ctx, [cc.push_derivation(g) for g in F.generators])
     d1 = cc.push_derivation(d)
     C = coefficient_rees(R1, F1, a)
-    chart, splitgens = split_foliation(F1, v, d1)
+    chart, FH = split_foliation(F1, v, d1)
     rect = chart.change
-    subctx = ctx.drop(v)
-    zero_v = {v: Jet.zero(ctx)}
-    sub_gens = []
-    for f, b in C.generators:
-        g = rect.push_jet(f).substitute(zero_v, ctx).rename(subctx)
-        if not g.is_zero():
-            sub_gens.append((g, b))
-    Csub = ReesAlgebra(subctx, sub_gens)
-    FH = restrict_to_hypersurface(Foliation(ctx, splitgens), v)
-    sub_entries, sub_tiers, sub_map = _worker(subctx, Csub, FH, depth + 1)
+    Csub = ReesAlgebra(FH.context, [(rect.push_jet(f).restrict(v), b)
+                                    for f, b in C.generators])
+    sub_entries, sub_tiers, sub_map = _worker(FH.context, Csub, FH, depth + 1)
     entries = [fin(a)] + sub_entries
     tiers = [(v, a, 0)] + sub_tiers
     # compose the inverses: ambient -> contact coords -> rectified coords
@@ -200,17 +194,11 @@ def inv_at(inst: PointedInstance):
         if t > 2:
             raise CertificateFailure("tier overflow on variable %s" % v)
         by_tier[t].append((v, w))
-    from .rectify import invert_jet_map
     identity = all(inv_map[u] == Jet.variable(ctx, u) for u in ctx.variables)
-    forward = _identity_map(ctx) if identity else invert_jet_map(ctx, inv_map)
-    center = Center(
-        ctx,
-        transverse=by_tier[0],
-        invariant=by_tier[1],
-        divisorial=by_tier[2],
-        chart=forward,
-        inverse_chart=None if identity else inv_map,
-    )
+    change = None if identity else CoordinateChange(
+        ctx, invert_jet_map(ctx, inv_map), inverse=inv_map)
+    center = Center(ctx, transverse=by_tier[0], invariant=by_tier[1],
+                    divisorial=by_tier[2], change=change)
     if not center.is_empty() and entries and entries != [fin(0)]:
         if not is_admissible(inst.rees, center):
             raise CertificateFailure(

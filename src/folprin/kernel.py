@@ -426,6 +426,12 @@ class Jet:
             return self
         return self.substitute(imgs, self.context)
 
+    def restrict(self, name: str) -> "Jet":
+        """The jet at name = 0, in the context without name."""
+        i = self.context.index(name)
+        return _jet(self.context.drop(name),
+                    {e[:i] + e[i + 1:]: c for e, c in self.terms.items() if not e[i]})
+
     def rename(self, target: RingContext, mapping: Mapping[str, str] = None) -> "Jet":
         """Transport to a context that shares variable names (or renames them)."""
         mapping = mapping or {}
@@ -617,8 +623,9 @@ class _Parser:
             if op == "*":
                 acc, deg = self.bounded(acc * f, deg + k)
             else:
-                if f.terms and list(f.terms) != [(0,) * len(self.ctx.variables)]:
-                    raise ParseError("division only by rational constants")
+                if list(f.terms) != [(0,) * len(self.ctx.variables)]:
+                    raise ParseError("division by zero" if not f.terms
+                                     else "division only by rational constants")
                 acc = acc * (Q(1) / f.constant_term())
         return acc, deg
 

@@ -233,8 +233,8 @@ def rectify_coordinate(d: Derivation, x1: str, budget: int = None) -> RectifiedC
 
 
 def split_foliation(F: Foliation, x1: str, d: Derivation):
-    """Rectify (x1, d) and return (chart, [d/dx1, nabla_1..nabla_m]) with
-    the nablas free of x1 and of d/dx1: the generators of F_H on H = V(x1).
+    """Rectify (x1, d) and return (chart, F_H): F = <d/dx1> (+) F_H in the
+    rectified chart, F_H the foliation on H = V(x1) in ctx.drop(x1).
 
     Raises ValueError when the input is not involutive to precision (the
     bracket [d/dx1, H_i] escapes the span of the H_j), and
@@ -277,8 +277,7 @@ def split_foliation(F: Foliation, x1: str, d: Derivation):
         if any(c.order() < ctx.truncation - 1 for c in br.coefficients.values()):
             raise CertificateFailure(
                 "bracket [d/d%s, %s] leaves the residual %s" % (x1, h, br))
-    zero = {x1: Jet.zero(ctx)}
-    nablas = [Derivation(ctx, {v: c.substitute(zero, ctx)
-                               for v, c in h.coefficients.items()})
-              for h in corrected]
-    return chart, [dx1] + [nb for nb in nablas if not nb.is_zero()]
+    sub = ctx.drop(x1)
+    return chart, Foliation(sub, [
+        Derivation(sub, {v: c.restrict(x1) for v, c in h.coefficients.items()})
+        for h in corrected])

@@ -3,9 +3,9 @@
 A Rees algebra R = O + R_a t^a + ... is stored as a finite list of
 (generator jet, positive rational degree) pairs.  A center A_J is a tiered
 weighted coordinate list (transverse / invariant / divisorial) together
-with the jet chart in which it is monomial; its integrally closed graded
-pieces admit the exact combinatorial description by weighted monomial
-degree, which is what admissibility tests use.  No integral closure is ever
+with the coordinate change to the chart in which it is monomial; its
+integrally closed graded pieces admit the exact combinatorial description
+by weighted monomial degree, which is what admissibility tests use.  No integral closure is ever
 computed symbolically.
 """
 
@@ -130,18 +130,16 @@ def ideal_from_rees(R: ReesAlgebra) -> IdealGens:
 class Center:
     """A weighted center in aligned coordinates.
 
-    chart: per-variable jet expressing each aligned coordinate in ambient
-    coordinates (identity entries may be omitted).  inverse_chart goes the
-    other way (ambient variable as a jet in aligned coordinates) and is what
-    admissibility testing substitutes through.  Weights within each tier are
-    kept sorted ascending.
+    change: the `rectify.CoordinateChange` from ambient to aligned
+    coordinates (its images are the aligned coordinates in ambient ones),
+    or None for the identity.  Weights within each tier are kept sorted
+    ascending.
     """
 
-    __slots__ = ("context", "chart", "inverse_chart",
-                 "transverse", "invariant", "divisorial")
+    __slots__ = ("context", "change", "transverse", "invariant", "divisorial")
 
     def __init__(self, context, transverse=(), invariant=(), divisorial=(),
-                 chart=None, inverse_chart=None):
+                 change=None):
         def tier(entries, divisor_flag):
             out = []
             for v, w in entries:
@@ -161,8 +159,7 @@ class Center:
         object.__setattr__(self, "transverse", tier(transverse, False))
         object.__setattr__(self, "invariant", tier(invariant, False))
         object.__setattr__(self, "divisorial", tier(divisorial, True))
-        object.__setattr__(self, "chart", dict(chart or {}))
-        object.__setattr__(self, "inverse_chart", dict(inverse_chart or {}))
+        object.__setattr__(self, "change", change)
         names = [v for v, _ in self.transverse + self.invariant + self.divisorial]
         if len(set(names)) != len(names):
             raise ValueError("variable repeated across tiers: %r" % names)
@@ -181,9 +178,7 @@ class Center:
 
     def rewrite(self, f: Jet) -> Jet:
         """Express an ambient jet in the center's aligned coordinates."""
-        if not self.inverse_chart:
-            return f
-        return f.substitute(self.inverse_chart, self.context)
+        return f if self.change is None else self.change.push_jet(f)
 
     def __str__(self):
         bits = []

@@ -228,13 +228,18 @@ def _drop_instances():
     return out
 
 
-def _one_step_drops(inst, mode):
-    """One blow-up of the computed center; returns (before, afters)."""
+def _one_step(inst, mode):
+    """One blow-up of the computed center, as a dict: the invariant `vec`
+    and `center`, the data rewritten into the aligned chart (`Ra`, `Fa`),
+    the cobordism `B`, the transforms (`Rt`, `Ft`), and `charts`, the
+    (invariant, center) at each chart origin by center variable.  An empty
+    center gives `vec`, `center` and no charts."""
     from folprin.driver import (_coordinate_center, _rewrite_derivation,
                                 _translate_local)
     vec, center = inv_at(inst)
+    step = {"vec": vec, "center": center, "charts": {}}
     if center.is_empty():
-        return vec, []
+        return step
     ctx = inst.context
     Ra = ReesAlgebra(ctx, [(center.rewrite(f), b)
                            for f, b in inst.rees.generators])
@@ -243,14 +248,13 @@ def _one_step_drops(inst, mode):
     B = build_cobordant(_coordinate_center(center))
     Rt = transform_rees(B, Ra, mode=mode)
     Ft = transform_foliation(B, Fa, mode=mode)
-    afters = []
+    step.update(Ra=Ra, Fa=Fa, B=B, Rt=Rt, Ft=Ft)
     for ci in B.center.variables():
         shift = {v: Q(0) for v in B.target.variables}
         shift[B.name_map[ci]] = Q(1)
         c2, r2, f2 = _translate_local(B.target, Rt, Ft, shift)
-        vec2, _ = inv_at(PointedInstance(c2, r2, f2))
-        afters.append(vec2)
-    return vec, afters
+        step["charts"][ci] = inv_at(PointedInstance(c2, r2, f2))
+    return step
 
 
 def test_criterion_5_invariant_drop_suite():
@@ -259,7 +263,9 @@ def test_criterion_5_invariant_drop_suite():
         assert len(instances) >= 50
         for name, inst in instances:
             for mode in ("controlled", "strict"):
-                before, afters = _one_step_drops(inst, mode)
+                step = _one_step(inst, mode)
+                before = step["vec"]
+                afters = [vec for vec, _ in step["charts"].values()]
                 assert afters, "no exceptional point for %s / %s" % (name, inst.rees)
                 for after in afters:
                     assert compare_inv(after, before) == -1, (

@@ -4,7 +4,10 @@
 `inv --json` and `order` on every `instances/*.fol` but ex510 (whose invariant
 computation does not finish), at truncations 6, 7 and 8, in both modes, and
 of `monres --json` on the files with a `monomial` block and `blowup` on the
-others.  A change that should keep every answer must keep this file.
+others.  It also holds `inv --json`, `blowup`, `blowup --chart` (the first
+center variable) and `principalize --json` on every `golden/charts/*.fol`,
+whose centers all sit in a non-identity aligned chart.  A change that should
+keep every answer must keep this file.
 
 Regenerate it (only when an answer is meant to change) with
 `PYTHONPATH=src python tests/test_cli_golden.py`.
@@ -14,11 +17,20 @@ import io
 import json
 from pathlib import Path
 
-from folprin import cli_main
+from folprin import PointedInstance, cli_main, inv_at, parse_instance
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.json"
+CHARTS = Path(__file__).resolve().parent / "golden" / "charts"
 LEFT_OUT = {"ex510.fol"}
+TRUNCATIONS = (6, 7, 8)
+MODES = ("controlled", "strict")
+
+
+def _first_center_variable(path, n):
+    inst = parse_instance(path.read_text(), truncation=n)
+    _, center = inv_at(PointedInstance(inst.context, inst.rees, inst.foliation))
+    return center.variables()[0]
 
 
 def _cases():
@@ -29,12 +41,23 @@ def _cases():
                        for line in path.read_text().splitlines())
         commands = ("principalize", "inv", "order",
                     "monres" if monomial else "blowup")
-        for n in (6, 7, 8):
-            for mode in ("controlled", "strict"):
+        for n in TRUNCATIONS:
+            for mode in MODES:
                 for command in commands:
                     key = "%s %s N=%d %s" % (command, path.name, n, mode)
                     yield key, [command, str(path), "--json", "--mode", mode,
                                 "--truncation", str(n)]
+    for path in sorted(CHARTS.glob("*.fol")):
+        name = "charts/" + path.name
+        for n in TRUNCATIONS:
+            chart = _first_center_variable(path, n)
+            for mode in MODES:
+                argv = [str(path), "--json", "--mode", mode, "--truncation", str(n)]
+                for command in ("principalize", "inv", "blowup"):
+                    key = "%s %s N=%d %s" % (command, name, n, mode)
+                    yield key, [command] + argv
+                key = "blowup --chart %s %s N=%d %s" % (chart, name, n, mode)
+                yield key, ["blowup"] + argv + ["--chart", chart]
 
 
 def cli_outputs() -> dict:

@@ -261,6 +261,21 @@ def test_cli_error_exit_codes(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("line", [
+    "ideal x/0 + y",
+    "rees x@1/0",
+    "center x@1/0 y@1",
+    "point 1/0 0",
+    "foliation 1/0*d/dx",
+])
+def test_cli_division_by_zero_is_an_input_error(tmp_path, line):
+    inst = tmp_path / "zero.fol"
+    data = "" if line.startswith(("ideal", "rees")) else "ideal x^2\n"
+    inst.write_text("ring x y\n%s%s\n" % (data, line))
+    code, text = run_cli(["inv", str(inst)])
+    assert code == 1 and text.startswith("error: ")
+
+
 def test_cli_input_beyond_truncation_is_a_budget_error(tmp_path):
     # x^40 parsed at N = 16 must not vanish and leave y^2 to be principalized
     inst = tmp_path / "deep.fol"

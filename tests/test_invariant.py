@@ -11,6 +11,7 @@ from folprin import (
     check_transverse, compare_inv, fin, find_maximal_contact, inv_at,
     is_admissible, parse_derivation, parse_poly, rees_from_ideal,
 )
+from folprin.driver import _rewrite_derivation
 
 INF = lambda c: InvValue(1, c)
 INF2 = lambda c: InvValue(2, c)
@@ -106,9 +107,32 @@ def test_contact_through_shear():
     # length-one vector beats any (1, inf+w) under top-symbol padding
     assert vec == InvVector([fin(1)])
     assert center.transverse == (("y", Q(1)),)
-    assert center.inverse_chart
+    assert center.change is not None
     g = parse_poly(inst.context, "y + x^2")
     assert center.rewrite(g) == parse_poly(inst.context, "y")
+
+
+def test_aligned_chart_is_one_coordinate_change():
+    # a cusp along the parabola y = x^2: the aligned coordinate is y - x^2
+    inst = make(["x", "y", "z"], [], ["(y - x^2)^2 + z^3"], "full")
+    ctx = inst.context
+    _, center = inv_at(inst)
+    change = center.change
+    assert change.images["y"] == parse_poly(ctx, "y - x^2")
+    assert change.inverse["y"] == parse_poly(ctx, "y + x^2")
+
+    # the formulas of the two-dict chart (chart, inverse_chart) it replaced
+    def ref_rewrite(f):
+        return f.substitute(change.inverse, ctx)
+
+    def ref_rewrite_derivation(d):
+        coeffs = {u: ref_rewrite(d.apply(change.images[u])) for u in ctx.variables}
+        return Derivation(ctx, {u: c for u, c in coeffs.items() if not c.is_zero()})
+
+    f = inst.rees.generators[0][0]
+    assert center.rewrite(f) == ref_rewrite(f) == parse_poly(ctx, "y^2 + z^3")
+    for d in list(inst.foliation) + [parse_derivation(ctx, "x*d/dy + y^2*d/dz")]:
+        assert _rewrite_derivation(center, d) == ref_rewrite_derivation(d)
 
 
 def test_center_certificates_always_checked():

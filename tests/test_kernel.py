@@ -90,6 +90,8 @@ def test_parse_rejects_overdeep_input():
         parse_poly(CTX, "x^9")
     with pytest.raises(ParseError):
         parse_poly(CTX, "x +")
+    with pytest.raises(ParseError, match="division by zero"):
+        parse_poly(CTX, "x/0 + y")
 
 
 def test_parse_never_clips_beyond_the_truncation():
@@ -236,6 +238,24 @@ def test_substitute_matches_reference(f, gx, gy, c):
     small = {v: g.rename(low) for v, g in full.items()}
     assert f.substitute(small, low).terms == \
         _reference_substitute(f, small, low)
+
+
+@st.composite
+def restrictions(draw):
+    """(f, g, v): two jets in one context, with or without a divisor, and a
+    variable to set to 0."""
+    ctx = draw(st.sampled_from([CTX, CTX3]))
+    return (draw(jets(ctx, max_terms=6)), draw(jets(ctx, max_terms=6)),
+            draw(st.sampled_from(ctx.variables)))
+
+
+@given(restrictions())
+def test_restrict_sets_a_variable_to_zero(case):
+    f, g, v = case
+    ctx = f.context
+    assert f.restrict(v).context == ctx.drop(v)
+    assert f.restrict(v) == f.substitute({v: Jet.zero(ctx)}, ctx).rename(ctx.drop(v))
+    assert (f * g).restrict(v) == f.restrict(v) * g.restrict(v)
 
 
 # -- substitution ------------------------------------------------------------

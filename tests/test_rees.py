@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from folprin import (
-    Center, Derivation, Foliation, IdealGens, InvValue, InvVector, Jet, Q,
+    Center, CoordinateChange, Derivation, Foliation, IdealGens, InvValue, InvVector, Jet, Q,
     ReesAlgebra, RingContext, TOP, center_inv, coefficient_rees, compare_inv,
     fin, ideal_from_rees, is_admissible, parse_derivation, parse_poly,
     rees_from_ideal,
@@ -76,10 +76,10 @@ def test_graded_piece_and_admissibility():
 
 
 def test_admissibility_through_chart():
-    # center along the curve y = x^2: chart y -> y + x^2
-    chart = {"y": J("y - x^2")}
-    inverse = {"y": J("y + x^2")}
-    C = Center(CTX, transverse=[("y", Q(1))], chart=chart, inverse_chart=inverse)
+    # center along the curve y = x^2: the aligned coordinate is y - x^2
+    change = CoordinateChange(CTX, {"y": J("y - x^2")})
+    assert change.inverse["y"] == J("y + x^2")
+    C = Center(CTX, transverse=[("y", Q(1))], change=change)
     R = rees_from_ideal(IdealGens(CTX, [J("y - x^2")]))
     assert is_admissible(R, C)
     R2 = rees_from_ideal(IdealGens(CTX, [J("y + x^2")]))
