@@ -6,8 +6,11 @@ computation does not finish), at truncations 6, 7 and 8, in both modes, and
 of `monres --json` on the files with a `monomial` block and `blowup` on the
 others.  It also holds `inv --json`, `blowup`, `blowup --chart` (the first
 center variable) and `principalize --json` on every `golden/charts/*.fol`,
-whose centers all sit in a non-identity aligned chart.  A change that should
-keep every answer must keep this file.
+whose centers all sit in a non-identity aligned chart.  On both sets of files
+it also holds `principalize` without `--json` (the step report, or "already
+principal"), and it holds `check-transverse` on every
+`golden/transverse/*.fol`.  A change that should keep every answer must keep
+this file.
 
 Regenerate it (only when an answer is meant to change) with
 `PYTHONPATH=src python tests/test_cli_golden.py`.
@@ -22,6 +25,7 @@ from folprin import PointedInstance, cli_main, inv_at, parse_instance
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.json"
 CHARTS = Path(__file__).resolve().parent / "golden" / "charts"
+TRANSVERSE = Path(__file__).resolve().parent / "golden" / "transverse"
 LEFT_OUT = {"ex510.fol"}
 TRUNCATIONS = (6, 7, 8)
 MODES = ("controlled", "strict")
@@ -43,10 +47,12 @@ def _cases():
                     "monres" if monomial else "blowup")
         for n in TRUNCATIONS:
             for mode in MODES:
+                argv = [str(path), "--mode", mode, "--truncation", str(n)]
                 for command in commands:
                     key = "%s %s N=%d %s" % (command, path.name, n, mode)
-                    yield key, [command, str(path), "--json", "--mode", mode,
-                                "--truncation", str(n)]
+                    yield key, [command, "--json"] + argv
+                key = "principalize (text) %s N=%d %s" % (path.name, n, mode)
+                yield key, ["principalize"] + argv
     for path in sorted(CHARTS.glob("*.fol")):
         name = "charts/" + path.name
         for n in TRUNCATIONS:
@@ -58,6 +64,13 @@ def _cases():
                     yield key, [command] + argv
                 key = "blowup --chart %s %s N=%d %s" % (chart, name, n, mode)
                 yield key, ["blowup"] + argv + ["--chart", chart]
+                key = "principalize (text) %s N=%d %s" % (name, n, mode)
+                yield key, ["principalize", str(path), "--mode", mode,
+                            "--truncation", str(n)]
+    for path in sorted(TRANSVERSE.glob("*.fol")):
+        for n in TRUNCATIONS:
+            key = "check-transverse transverse/%s N=%d" % (path.name, n)
+            yield key, ["check-transverse", str(path), "--truncation", str(n)]
 
 
 def cli_outputs() -> dict:
