@@ -61,17 +61,13 @@ class Cobordism:
     __repr__ = __str__
 
 
-def build_cobordant(C: Center, multiplier: int = 1) -> Cobordism:
-    """w = multiplier * lcm(weights), scaled up to an integer when the
-    rational lcm is fractional; chart weights w_i = w/a_i are exact
-    integers."""
+def build_cobordant(C: Center) -> Cobordism:
+    """w = lcm(weights), scaled up to an integer when the rational lcm is
+    fractional; chart weights w_i = w/a_i are exact integers."""
     if C.is_empty():
         raise ValueError("cannot blow up an empty center")
-    if multiplier < 1:
-        raise ValueError("w-multiplier must be a positive integer")
     ctx = C.context
-    w0 = rational_lcm(C.weights().values())
-    w = Q(multiplier) * w0
+    w = rational_lcm(C.weights().values())
     if w.denominator != 1:
         w = w * w.denominator
     w = int(w)
@@ -157,8 +153,8 @@ def transform_element(B: Cobordism, f: Jet, mode: str = "controlled",
         k = Q(a) * B.w
         if k.denominator != 1:
             raise ValueError(
-                "a*w = %s is not an integer; rebuild the cobordism with a "
-                "larger w-multiplier" % k)
+                "a*w = %s is not an integer: the control degree a is not a "
+                "multiple of 1/w for this center" % k)
         k = int(k)
     elif mode == "strict":
         k = _min_s_valuation(B, f)
@@ -194,13 +190,11 @@ def transform_derivation(B: Cobordism, d: Derivation,
     if d.context != B.source:
         raise ContextMismatch("derivation does not live on the blow-up source")
     v_min = None
-    svals = {}
     for v, g in d.coefficients.items():
         shift = B.chart_weight(v)
         m = _min_s_valuation(B, g)
         if m is None:
             continue
-        svals[v] = m - shift
         if v_min is None or m - shift < v_min:
             v_min = m - shift
     if v_min is None:

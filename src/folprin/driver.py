@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -137,12 +138,14 @@ def parse_instance(text: str, truncation: Optional[int] = None) -> Instance:
         if h not in known:
             raise ParseError("line %d: unknown directive %r" % (n, h))
 
-    _, trunc_text = only("truncation")
-    N = truncation if truncation is not None else (
-        int(trunc_text) if trunc_text else 16)
+    trunc_line, trunc_text = only("truncation")
+    with _at_line(trunc_line):
+        N = truncation if truncation is not None else (
+            int(trunc_text) if trunc_text else 16)
 
     mono_line, mono_text = only("monomial")
-    monomial = _parse_monomial_block(mono_text, N, mono_line) if mono_text else None
+    with _at_line(mono_line):
+        monomial = _parse_monomial_block(mono_text, N) if mono_text else None
 
     ring_line, ring_text = only("ring")
     if ring_text is None:
@@ -150,83 +153,95 @@ def parse_instance(text: str, truncation: Optional[int] = None) -> Instance:
             raise ParseError("missing 'ring' directive")
         return Instance(monomial.context, None, None, [], monomial=monomial)
     variables = ring_text.split()
-    _, div_text = only("divisor")
+    div_line, div_text = only("divisor")
     divisor = div_text.split() if div_text else []
-    for v in divisor:
-        if v not in variables:
-            raise ParseError("divisor variable %r not in the ring" % v)
-    ctx = RingContext(variables, divisor=divisor, truncation=N)
+    with _at_line(div_line):
+        for v in divisor:
+            if v not in variables:
+                raise ParseError("divisor variable %r not in the ring" % v)
+    with _at_line(ring_line):
+        ctx = RingContext(variables, divisor=divisor, truncation=N)
 
-    _, ideal_text = only("ideal")
+    ideal_line, ideal_text = only("ideal")
     rees_line, rees_text = only("rees")
     if ideal_text and rees_text:
         raise ParseError("give either 'ideal' or 'rees', not both")
     if rees_text:
-        gens = []
-        for part in rees_text.split(";"):
-            part = part.strip()
-            if not part:
-                continue
-            poly, _, deg = part.rpartition("@")
-            if not poly:
-                raise ParseError("rees generator %r lacks '@degree'" % part)
-            gens.append((parse_poly(ctx, poly), _rational(deg, rees_line)))
-        R = ReesAlgebra(ctx, gens)
+        with _at_line(rees_line):
+            gens = []
+            for part in filter(None, map(str.strip, rees_text.split(";"))):
+                poly, _, deg = part.rpartition("@")
+                if not poly:
+                    raise ParseError("rees generator %r lacks '@degree'" % part)
+                gens.append((parse_poly(ctx, poly), _rational(deg)))
+            R = ReesAlgebra(ctx, gens)
     elif ideal_text:
-        gens = [parse_poly(ctx, part) for part in ideal_text.split(";")
-                if part.strip()]
-        R = rees_from_ideal(IdealGens(ctx, gens))
+        with _at_line(ideal_line):
+            gens = [parse_poly(ctx, part) for part in ideal_text.split(";")
+                    if part.strip()]
+            R = rees_from_ideal(IdealGens(ctx, gens))
     else:
         R = ReesAlgebra(ctx, [])
 
-    _, fol_text = only("foliation")
+    fol_line, fol_text = only("foliation")
     if fol_text:
-        F = Foliation(ctx, [parse_derivation(ctx, part)
-                            for part in fol_text.split(";") if part.strip()])
+        with _at_line(fol_line):
+            F = Foliation(ctx, [parse_derivation(ctx, part)
+                                for part in fol_text.split(";") if part.strip()])
     else:
         F = Foliation.full(ctx)
 
     center_line, center_text = only("center")
     explicit_center = None
     if center_text:
-        transverse, divisorial = [], []
-        for part in center_text.split():
-            v, _, w = part.partition("@")
-            if v not in variables:
-                raise ParseError("center variable %r not in the ring" % v)
-            (divisorial if ctx.is_divisor(v) else transverse).append(
-                (v, _rational(w, center_line)))
-        explicit_center = Center(ctx, transverse=transverse,
-                                 divisorial=divisorial)
+        with _at_line(center_line):
+            transverse, divisorial = [], []
+            for part in center_text.split():
+                v, _, w = part.partition("@")
+                if v not in variables:
+                    raise ParseError("center variable %r not in the ring" % v)
+                (divisorial if ctx.is_divisor(v) else transverse).append(
+                    (v, _rational(w)))
+            explicit_center = Center(ctx, transverse=transverse,
+                                     divisorial=divisorial)
 
-    _, sub_text = only("subspace")
+    sub_line, sub_text = only("subspace")
     subspace = None
     if sub_text:
-        subspace = IdealGens(ctx, [parse_poly(ctx, part)
-                                   for part in sub_text.split(";") if part.strip()])
+        with _at_line(sub_line):
+            subspace = IdealGens(ctx, [parse_poly(ctx, part)
+                                       for part in sub_text.split(";")
+                                       if part.strip()])
 
     points = []
-    for n, h, rest in directives:
-        if h != "point":
-            continue
-        coords = rest.split()
-        if len(coords) != len(variables):
-            raise ParseError("line %d: point has %d coordinates for %d variables"
-                             % (n, len(coords), len(variables)))
-        points.append({v: _rational(c, n) for v, c in zip(variables, coords)})
+    for n, coords in ((n, r.split()) for n, h, r in directives if h == "point"):
+        with _at_line(n):
+            if len(coords) != len(variables):
+                raise ParseError("point has %d coordinates for %d variables"
+                                 % (len(coords), len(variables)))
+            points.append({v: _rational(c) for v, c in zip(variables, coords)})
     return Instance(ctx, R, F, points, monomial=monomial,
                     explicit_center=explicit_center, subspace=subspace)
 
 
-def _rational(text: str, lineno: int) -> Fraction:
+@contextmanager
+def _at_line(lineno: Optional[int]):
+    """Input errors raised inside name the line; their type is kept."""
+    try:
+        yield
+    except ValueError as exc:
+        exc.args = ("line %d: %s" % (lineno, exc),)
+        raise
+
+
+def _rational(text: str) -> Fraction:
     try:
         return Q(text)
     except (ValueError, ZeroDivisionError):
-        raise ParseError("line %d: bad rational number %r" % (lineno, text)) from None
+        raise ParseError("bad rational number %r" % text) from None
 
 
-def _parse_monomial_block(text: str, truncation: int,
-                          lineno) -> MonomialPresentation:
+def _parse_monomial_block(text: str, truncation: int) -> MonomialPresentation:
     """`p=<int> rows=[[...]] vars v1 .. wm` (vars optional)."""
     fields = {}
     toks = text.split()
@@ -244,14 +259,14 @@ def _parse_monomial_block(text: str, truncation: int,
             fields[key] = val
             i += 1
         else:
-            raise ParseError("line %s: bad monomial token %r" % (lineno, tok))
+            raise ParseError("bad monomial token %r" % tok)
     try:
         p = int(fields["p"])
         rows = json.loads(fields["rows"])
     except (KeyError, ValueError) as exc:
-        raise ParseError("line %s: bad monomial block (%s)" % (lineno, exc))
+        raise ParseError("bad monomial block (%s)" % exc)
     if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
-        raise ParseError("line %s: rows must be a list of lists" % lineno)
+        raise ParseError("rows must be a list of lists")
     names = fields.get("vars")
     if names:
         ctx = RingContext(names, divisor=(), truncation=truncation)

@@ -33,8 +33,8 @@ from .rectify import (
     CertificateFailure, CoordinateChange, invert_jet_map, split_foliation,
 )
 from .rees import (
-    Center, InvValue, InvVector, ReesAlgebra, center_inv, coefficient_rees,
-    fin, is_admissible, rees_from_ideal,
+    TIER_INF2, Center, InvValue, InvVector, ReesAlgebra, center_inv,
+    coefficient_rees, fin, is_admissible, rees_from_ideal,
 )
 
 
@@ -99,25 +99,22 @@ def _contact_variable(ctx: RingContext, x1: Jet) -> str:
         "maximal contact %s has no free linear variable" % x1)
 
 
-def _identity_map(ctx: RingContext) -> dict:
-    return {v: Jet.variable(ctx, v) for v in ctx.variables}
-
-
 def _worker(ctx: RingContext, R: ReesAlgebra, F: Foliation, depth: int):
-    """Returns (entries, tiers, inverse map).
+    """Returns (pairs, inverse map).
 
-    entries: list of InvValue in recursion order.
-    tiers:   list of (variable, weight, tier index).
-    map:     dict ambient-variable -> jet in the aligned coordinates of the
-             same context (names are reused through every change).
-    """
+    pairs: (variable, InvValue) per entry of inv_F in recursion order, the
+           value being the variable's weight in its tier; the unit case's
+           (0) is (None, fin(0)).
+    map:   dict ambient-variable -> jet in the aligned coordinates of the
+           same context (names are reused through every change); a variable
+           left out is unchanged."""
     if depth > len(ctx.variables) * 3 + 6:
         raise BudgetExhausted("invariant recursion failed to terminate")
     if R.is_trivial():
-        return [], [], _identity_map(ctx)
+        return [], {}
     if R.has_unit_generator():
         # the point is off the support: minimal invariant, empty center
-        return [fin(0)], [], _identity_map(ctx)
+        return [(None, fin(0))], {}
     a = f_order_rees(F, R)
     if a != INFINITE:
         return _case_one(ctx, R, F, Q(a), depth)
@@ -136,26 +133,21 @@ def _case_one(ctx, R, F, a, depth):
     rect = chart.change
     Csub = ReesAlgebra(FH.context, [(rect.push_jet(f).restrict(v), b)
                                     for f, b in C.generators])
-    sub_entries, sub_tiers, sub_map = _worker(FH.context, Csub, FH, depth + 1)
-    entries = [fin(a)] + sub_entries
-    tiers = [(v, a, 0)] + sub_tiers
+    sub_pairs, sub_map = _worker(FH.context, Csub, FH, depth + 1)
     # compose the inverses: ambient -> contact coords -> rectified coords
     # -> sub-aligned
     lifted_sub = {w: g.rename(ctx) for w, g in sub_map.items()}
     out_map = {u: cc.inverse[u].substitute(rect.inverse, ctx)
                .substitute(lifted_sub, ctx) for u in ctx.variables}
-    return entries, tiers, out_map
+    return [(v, fin(a))] + sub_pairs, out_map
 
 
 def _case_two(ctx, R, F, depth):
     Rinf = f_infty(F, R)
     if log_rank_at(F) < len(ctx.variables):
         # enlarge F to the log tangent sheaf; one infinity marker
-        sub_entries, sub_tiers, sub_map = _worker(ctx, Rinf, Foliation.full(ctx),
-                                                  depth + 1)
-        entries = [e.lifted() for e in sub_entries]
-        tiers = [(v, w, min(t + 1, 2)) for v, w, t in sub_tiers]
-        return entries, tiers, sub_map
+        sub_pairs, sub_map = _worker(ctx, Rinf, Foliation.full(ctx), depth + 1)
+        return [(v, e.lifted()) for v, e in sub_pairs], sub_map
     if not ctx.divisor:
         raise CertificateFailure(
             "F spans the full tangent sheaf yet the order is infinite")
@@ -164,19 +156,11 @@ def _case_two(ctx, R, F, depth):
     # components land in the divisorial tier (two markers); free ones in
     # the invariant tier.
     ctx2 = ctx.clear_divisor()
-    R2 = Rinf.rename(ctx2)
-    sub_entries, sub_tiers, sub_map = _worker(ctx2, R2, Foliation.full(ctx2),
-                                              depth + 1)
-    sub_map = {u: g.rename(ctx) for u, g in sub_map.items()}
-    if len(sub_entries) != len(sub_tiers):
-        raise CertificateFailure("entry/tier bookkeeping out of step")
-    entries = []
-    tiers = []
-    for e, (v, w, t) in zip(sub_entries, sub_tiers):
-        new_t = 2 if ctx.is_divisor(v) else min(t + 1, 2)
-        entries.append(InvValue(new_t, e.offset))
-        tiers.append((v, w, new_t))
-    return entries, tiers, sub_map
+    sub_pairs, sub_map = _worker(ctx2, Rinf.rename(ctx2), Foliation.full(ctx2),
+                                 depth + 1)
+    pairs = [(v, InvValue(TIER_INF2, e.offset) if ctx.is_divisor(v)
+              else e.lifted()) for v, e in sub_pairs]
+    return pairs, {u: g.rename(ctx) for u, g in sub_map.items()}
 
 
 def inv_at(inst: PointedInstance):
@@ -187,19 +171,16 @@ def inv_at(inst: PointedInstance):
     tier vector.
     """
     ctx = inst.context
-    entries, tiers, inv_map = _worker(ctx, inst.rees, inst.foliation, 0)
-    vec = InvVector(entries)
-    by_tier = {0: [], 1: [], 2: []}
-    for v, w, t in tiers:
-        if t > 2:
-            raise CertificateFailure("tier overflow on variable %s" % v)
-        by_tier[t].append((v, w))
-    identity = all(inv_map[u] == Jet.variable(ctx, u) for u in ctx.variables)
+    pairs, inv_map = _worker(ctx, inst.rees, inst.foliation, 0)
+    vec = InvVector(e for _, e in pairs)
+    tiers = [[(v, e.offset) for v, e in pairs if v is not None and e.tier == t]
+             for t in range(3)]
+    identity = all(g == Jet.variable(ctx, u) for u, g in inv_map.items())
     change = None if identity else CoordinateChange(
         ctx, invert_jet_map(ctx, inv_map), inverse=inv_map)
-    center = Center(ctx, transverse=by_tier[0], invariant=by_tier[1],
-                    divisorial=by_tier[2], change=change)
-    if not center.is_empty() and entries and entries != [fin(0)]:
+    center = Center(ctx, transverse=tiers[0], invariant=tiers[1],
+                    divisorial=tiers[2], change=change)
+    if not center.is_empty():
         if not is_admissible(inst.rees, center):
             raise CertificateFailure(
                 "computed center %s is not admissible for %s" % (center, inst.rees))

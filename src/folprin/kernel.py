@@ -100,11 +100,6 @@ class RingContext:
     def with_truncation(self, n: int) -> "RingContext":
         return RingContext(self.variables, self.divisor, n)
 
-    def extend(self, name, divisor=False, front=False) -> "RingContext":
-        names = (name,) + self.variables if front else self.variables + (name,)
-        flags = self.divisor | ({name} if divisor else frozenset())
-        return RingContext(names, flags, self.truncation)
-
 
 def grlex_key(exp):
     return (sum(exp), exp)
@@ -690,10 +685,9 @@ def parse_poly(ctx: RingContext, text: str) -> Jet:
 
 class Echelon:
     """A row echelon basis over Q, kept fraction-free: primitive integer
-    rows (sparse, column -> int) keyed by their lowest column.  Ranks,
-    inverses, rational dependencies and linear systems all reduce through
-    `add`; only `monres._local_model` eliminates on its own, because its
-    reduced rows (pivot choice and scale) are its output."""
+    rows (sparse, column -> int) keyed by their lowest column.  Every
+    elimination reduces through `add`: ranks, inverses, rational
+    dependencies, linear systems and monres's local models."""
 
     __slots__ = ("rows",)
 

@@ -20,7 +20,7 @@ from .foliation import (
     BudgetExhausted, Derivation, Foliation, is_f_invariant, log_smooth_at,
     sm_rank_at,
 )
-from .kernel import IdealGens, Jet, Q, RingContext, rank
+from .kernel import Echelon, IdealGens, Jet, Q, RingContext, rank
 from .rees import rees_from_ideal
 
 
@@ -167,44 +167,25 @@ def _bit_patterns(n: int):
 def _local_model(M: MonomialPresentation, pattern: dict) -> MonomialPresentation:
     """The monomial presentation at a 0/1 point of the w-block.
 
-    Columns at 1 admit pivots: each pivot row contributes a fresh smooth
-    field (translating w_k by 1 makes its coefficient a unit), the pivot
-    column is eliminated from the other rows by row operations, and both
-    are removed.  The reduced rows over the still-vanishing columns form
-    the new matrix; p grows by the number of pivots.
+    Translating w_k by 1 makes its coefficient a unit.  The rows reduce
+    through one `Echelon` with the unit columns first: a row led in a unit
+    column is a fresh smooth field (p grows by their count); the others
+    vanish there (a row's lead is its lowest column) and form the new matrix
+    over the still-vanishing columns.  Later steps read only p and that row
+    space, so the rows are the echelon's primitive integer rows.
     """
-    rows = [list(r) for r in M.rows]
-    wvars = list(M.w_variables)
-    unit_cols = [k for k, w in enumerate(wvars) if pattern.get(w, Q(0)) != 0]
-    pivots = 0
-    dead_rows = set()
-    for k in unit_cols:
-        pivot = None
-        for j, row in enumerate(rows):
-            if j not in dead_rows and row[k] != 0:
-                pivot = j
-                break
-        if pivot is None:
-            continue
-        for j, row in enumerate(rows):
-            if j != pivot and row[k] != 0:
-                factor = row[k] / rows[pivot][k]
-                rows[j] = [c - factor * d for c, d in zip(row, rows[pivot])]
-        dead_rows.add(pivot)
-        pivots += 1
-    keep_cols = [k for k in range(len(wvars)) if k not in unit_cols]
-    new_rows = []
-    for j, row in enumerate(rows):
-        if j in dead_rows:
-            continue
-        reduced = [row[k] for k in keep_cols]
-        if any(row[k] != 0 for k in unit_cols):
-            raise SmRankFailure(
-                "row %d not eliminated over the unit columns" % j, pattern)
-        if any(c != 0 for c in reduced):
-            new_rows.append(reduced)
+    wvars = M.w_variables
+    unit = [k for k, w in enumerate(wvars) if pattern.get(w, 0) != 0]
+    order = unit + [k for k in range(len(wvars)) if k not in unit]
+    basis = Echelon()
+    for row in M.rows:
+        basis.add({j: row[k] for j, k in enumerate(order)})
+    u = len(unit)
+    rows = [[basis.rows[lead].get(j, 0) for j in range(u, len(order))]
+            for lead in sorted(basis.rows) if lead >= u]
     return MonomialPresentation.from_matrix(
-        new_rows, p=M.p + pivots, truncation=M.context.truncation)
+        rows, p=M.p + sum(lead < u for lead in basis.rows),
+        truncation=M.context.truncation)
 
 
 def _assert_same_matrix(M: MonomialPresentation, B, F2: Foliation):

@@ -325,9 +325,6 @@ class InvVector:
     def padded(self, n: int):
         return self.entries + (TOP,) * (n - len(self.entries))
 
-    def lifted(self) -> "InvVector":
-        return InvVector([e.lifted() for e in self.entries])
-
     def __eq__(self, other):
         return isinstance(other, InvVector) and compare_inv(self, other) == 0
 

@@ -284,6 +284,26 @@ def test_cli_input_beyond_truncation_is_a_budget_error(tmp_path):
     assert code == 2 and text.startswith("budget error")
 
 
+@pytest.mark.parametrize("text, code, message", [
+    ("ring x y\nideal x/0 + y\n", 1, "error: line 2: division by zero"),
+    ("ring x y\nideal x\nfoliation d/dz\n", 1,
+     "error: line 3: unknown variable 'z' in derivation"),
+    ("ring x y\nrees x@-1\n", 1,
+     "error: line 2: Rees degrees must be positive, got -1"),
+    ("ring x y\nideal x\n\ncenter x@0\n", 1,
+     "error: line 4: center weight must be positive"),
+    ("ring x y\ndivisor y\nideal x\nfoliation d/dy\n", 1,
+     "error: line 4: generator d/dy is not logarithmic"),
+    ("# deep\nring x y\nideal x^40 + y^2\n", 2,
+     "budget error: line 3: polynomial degree 40 exceeds truncation 16"),
+])
+def test_cli_instance_errors_name_their_line(tmp_path, text, code, message):
+    inst = tmp_path / "bad.fol"
+    inst.write_text(text)
+    assert run_cli(["inv", str(inst), "--truncation", "16"]) == (
+        code, message + "\n")
+
+
 def test_cli_blowup_failure_prints_no_partial_report(tmp_path):
     # (x) is not admissible for the center (y): the controlled transform
     # fails, and the report is printed only for a finished blow-up

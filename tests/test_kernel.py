@@ -294,8 +294,6 @@ def test_context_operations():
     assert CTX3.is_divisor("z") and not CTX3.is_divisor("x")
     assert CTX3.drop("y").variables == ("x", "z")
     assert not CTX3.clear_divisor().divisor
-    ext = CTX3.extend("w", divisor=True)
-    assert "w" in ext.variables and ext.is_divisor("w")
     assert CTX3.index("y") == 1
 
 

@@ -3,11 +3,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from folprin import (
     MonomialPresentation, Q, RingContext, SmRankFailure, monomial_resolve,
     monomial_to_foliation, resolve_report, smrank_center,
 )
+from folprin.kernel import rank
+from folprin.monres import _local_model
 
 
 def test_presentation_to_foliation():
@@ -77,3 +80,65 @@ def test_resolve_three_variable_chain():
 def test_matrix_row_length_validated():
     with pytest.raises(ValueError):
         MonomialPresentation.from_matrix([[1, 2], [3]], p=0)
+
+
+def _ref_local_model(M, pattern):
+    """Gauss-Jordan over the unit columns, pivot by pivot: (p, rows over
+    the still-vanishing columns), zero rows dropped."""
+    rows = [list(r) for r in M.rows]
+    wvars = list(M.w_variables)
+    unit_cols = [k for k, w in enumerate(wvars) if pattern.get(w, Q(0)) != 0]
+    pivots, dead = 0, set()
+    for k in unit_cols:
+        pivot = next((j for j, row in enumerate(rows)
+                      if j not in dead and row[k] != 0), None)
+        if pivot is None:
+            continue
+        for j, row in enumerate(rows):
+            if j != pivot and row[k] != 0:
+                factor = row[k] / rows[pivot][k]
+                rows[j] = [c - factor * d for c, d in zip(row, rows[pivot])]
+        dead.add(pivot)
+        pivots += 1
+    keep = [k for k in range(len(wvars)) if k not in unit_cols]
+    reduced = [[row[k] for k in keep] for j, row in enumerate(rows)
+               if j not in dead]
+    return M.p + pivots, [r for r in reduced if any(r)]
+
+
+_ENTRY = st.sampled_from([0, 0, 1, -1, 2, -3, Fraction(1, 2)])
+
+
+@st.composite
+def _matrix_and_pattern(draw):
+    ncols = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(_ENTRY, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=3))
+    if draw(st.booleans()):
+        # a dependent row: a combination of the drawn ones
+        coeffs = draw(st.lists(st.sampled_from([0, 1, -1, 2]),
+                               min_size=len(rows), max_size=len(rows)))
+        rows.append([sum(c * r[k] for c, r in zip(coeffs, rows))
+                     for k in range(ncols)])
+    p = draw(st.integers(0, 1))
+    M = MonomialPresentation.from_matrix(rows, p=p)
+    bits = draw(st.lists(st.sampled_from([0, 1]), min_size=ncols,
+                         max_size=ncols))
+    return M, {w: Q(b) for w, b in zip(M.w_variables, bits)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrix_and_pattern())
+def test_local_model_matches_gauss_jordan(case):
+    M, pattern = case
+    child = _local_model(M, pattern)
+    p, rows = _ref_local_model(M, pattern)
+    assert child.p == p
+    # the same row space: stacking adds nothing to either rank
+    assert rank(child.rows) == rank(rows) == rank(list(child.rows) + rows)
+    if rows:
+        want = MonomialPresentation.from_matrix(rows, p=p)
+        assert child.context == want.context
+        assert smrank_center(child).generators == smrank_center(want).generators
+    else:
+        assert child.rows == () and len(child.context.variables) == p
