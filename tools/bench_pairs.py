@@ -12,10 +12,8 @@ same seed, one run at a time.  Pair k runs the parent first when k is even
 and the change first when k is odd, so drift of the host over a session
 does not favour either side.  The file keeps every run's result line (the
 last line of its standard output) and, per workload and metric, the median
-of each side, the relative change of the medians, and, for the metrics
-that the change's BENCHMARK.json declares end to end, the number of pairs
-in which the change was better.  Standard library only; perfbench/ is only
-run, never changed.
+of each side.  Standard library only; perfbench/ is only run, never
+changed.
 """
 
 from __future__ import annotations
@@ -59,42 +57,15 @@ def run_once(root: Path, workload: str, seed: int, seconds: float,
                                           proc.stderr.strip()[-400:])}
 
 
-def directions(root: Path) -> dict:
-    """metric -> "higher" or "lower", from the end-to-end metrics of the
-    checkout's BENCHMARK.json (empty when there is none)."""
-    path = root / "BENCHMARK.json"
-    if not path.is_file():
-        return {}
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    return {m["name"]: m["better"] for m in doc.get("end_to_end", [])}
-
-
-def summarize(runs: list, better: dict) -> dict:
-    """Per metric: each side's median, the relative change of the medians,
-    and the pairs in which the change was better (declared metrics only)."""
-    by_pair = {}
+def medians(runs: list) -> dict:
+    """side -> metric -> median over that side's runs that printed
+    metrics (perfbench reports each as {"value": v, "unit": u})."""
+    values = {side: {} for side in SIDES}
     for r in runs:
-        if "metrics" in r["result"]:
-            by_pair.setdefault(r["pair"], {})[r["side"]] = r["result"]["metrics"]
-    pairs = [p for p in by_pair.values() if len(p) == 2]
-    names = sorted({k for p in pairs for side in p.values() for k in side})
-    out = {}
-    for name in names:
-        vals = {s: [p[s][name] for p in pairs if name in p[s]] for s in SIDES}
-        if not vals["parent"] or not vals["change"]:
-            continue
-        med = {s: statistics.median(vals[s]) for s in SIDES}
-        row = dict(med)
-        if med["parent"]:
-            row["rel_change"] = (med["change"] - med["parent"]) / abs(med["parent"])
-        if name in better:
-            sign = 1 if better[name] == "higher" else -1
-            row["better"] = better[name]
-            row["pairs_change_better"] = sum(
-                sign * (p["change"][name] - p["parent"][name]) > 0
-                for p in pairs if name in p["change"] and name in p["parent"])
-        out[name] = row
-    return {"complete_pairs": len(pairs), "metrics": out}
+        for name, m in r["result"].get("metrics", {}).items():
+            values[r["side"]].setdefault(name, []).append(m["value"])
+    return {side: {name: statistics.median(v) for name, v in sorted(vals.items())}
+            for side, vals in values.items()}
 
 
 def main(argv=None) -> int:
@@ -106,14 +77,11 @@ def main(argv=None) -> int:
                     help="seed of pair 0; pair k uses seed + k")
     ap.add_argument("--seconds", type=float, default=5)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    ap.add_argument("--workloads", nargs="+", choices=WORKLOADS,
-                    default=list(WORKLOADS))
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    better = directions(roots["change"])
     doc = {
         "command": "perfbench/run.py --seconds %s --trace %d"
                    % (args.seconds, args.trace),
@@ -124,7 +92,7 @@ def main(argv=None) -> int:
                  "machine": platform.machine()},
         "workloads": {},
     }
-    for workload in args.workloads:
+    for workload in WORKLOADS:
         runs = []
         for k in range(args.pairs):
             seed = args.seed + k
@@ -137,7 +105,7 @@ def main(argv=None) -> int:
                 print("%s pair %d %s: %s" % (workload, k, side,
                                              json.dumps(result)[:160]),
                       file=sys.stderr, flush=True)
-        doc["workloads"][workload] = dict(summarize(runs, better), runs=runs)
+        doc["workloads"][workload] = {"medians": medians(runs), "runs": runs}
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n",
                         encoding="utf-8")
     return 0
