@@ -139,9 +139,11 @@ def parse_instance(text: str, truncation: Optional[int] = None) -> Instance:
             raise ParseError("line %d: unknown directive %r" % (n, h))
 
     trunc_line, trunc_text = only("truncation")
-    with _at_line(trunc_line):
+    with _at_line(trunc_line if truncation is None else None):
         N = truncation if truncation is not None else (
             int(trunc_text) if trunc_text else 16)
+        if N < 1:
+            raise ParseError("truncation order must be >= 1")
 
     mono_line, mono_text = only("monomial")
     with _at_line(mono_line):
@@ -159,8 +161,7 @@ def parse_instance(text: str, truncation: Optional[int] = None) -> Instance:
         for v in divisor:
             if v not in variables:
                 raise ParseError("divisor variable %r not in the ring" % v)
-    with _at_line(ring_line):
-        ctx = RingContext(variables, divisor=divisor, truncation=N)
+    ctx = RingContext(variables, divisor=divisor, truncation=N)
 
     ideal_line, ideal_text = only("ideal")
     rees_line, rees_text = only("rees")
@@ -226,11 +227,12 @@ def parse_instance(text: str, truncation: Optional[int] = None) -> Instance:
 
 @contextmanager
 def _at_line(lineno: Optional[int]):
-    """Input errors raised inside name the line; their type is kept."""
+    """Input errors raised inside name the line, if any; their type is kept."""
     try:
         yield
     except ValueError as exc:
-        exc.args = ("line %d: %s" % (lineno, exc),)
+        if lineno is not None:
+            exc.args = ("line %d: %s" % (lineno, exc),)
         raise
 
 
