@@ -9,7 +9,7 @@ Run from anywhere, with two checkouts of the repository (for instance a
 For every workload and every pair k (k = 0 .. pairs-1) both checkouts run
 `perfbench/run.py --workload W --seed SEED+k --seconds S --trace T` with the
 same seed, one run at a time.  Pair k runs the parent first when k is even
-and the change first when k is odd, so drift of the host over a session
+and the change first when k is odd, so drift of the host over the pairs
 does not favour either side.  The file keeps every run's result line (the
 last line of its standard output) and, per workload and metric, the median
 of each side.  Standard library only; perfbench/ is only run, never
