@@ -138,16 +138,12 @@ def parse_instance(text: str, truncation: Optional[int] = None) -> Instance:
         if h not in known:
             raise ParseError("line %d: unknown directive %r" % (n, h))
 
-    trunc_line, trunc_text = only("truncation")
-    with _at_line(trunc_line if truncation is None else None):
-        N = truncation if truncation is not None else (
-            int(trunc_text) if trunc_text else 16)
-        if N < 1:
-            raise ParseError("truncation order must be >= 1")
+    _, trunc_text = only("truncation")
+    N = truncation if truncation is not None else (
+        int(trunc_text) if trunc_text else 16)
 
     mono_line, mono_text = only("monomial")
-    with _at_line(mono_line):
-        monomial = _parse_monomial_block(mono_text, N) if mono_text else None
+    monomial = _parse_monomial_block(mono_text, N, mono_line) if mono_text else None
 
     ring_line, ring_text = only("ring")
     if ring_text is None:
@@ -170,7 +166,10 @@ def parse_instance(text: str, truncation: Optional[int] = None) -> Instance:
     if rees_text:
         with _at_line(rees_line):
             gens = []
-            for part in filter(None, map(str.strip, rees_text.split(";"))):
+            for part in rees_text.split(";"):
+                part = part.strip()
+                if not part:
+                    continue
                 poly, _, deg = part.rpartition("@")
                 if not poly:
                     raise ParseError("rees generator %r lacks '@degree'" % part)
@@ -210,12 +209,14 @@ def parse_instance(text: str, truncation: Optional[int] = None) -> Instance:
     subspace = None
     if sub_text:
         with _at_line(sub_line):
-            subspace = IdealGens(ctx, [parse_poly(ctx, part)
-                                       for part in sub_text.split(";")
-                                       if part.strip()])
+            subspace = IdealGens(ctx, [parse_poly(ctx, part) for part in
+                                       sub_text.split(";") if part.strip()])
 
     points = []
-    for n, coords in ((n, r.split()) for n, h, r in directives if h == "point"):
+    for n, h, rest in directives:
+        if h != "point":
+            continue
+        coords = rest.split()
         with _at_line(n):
             if len(coords) != len(variables):
                 raise ParseError("point has %d coordinates for %d variables"
@@ -226,13 +227,12 @@ def parse_instance(text: str, truncation: Optional[int] = None) -> Instance:
 
 
 @contextmanager
-def _at_line(lineno: Optional[int]):
-    """Input errors raised inside name the line, if any; their type is kept."""
+def _at_line(lineno: int):
+    """Input errors raised inside name the line; their type is kept."""
     try:
         yield
     except ValueError as exc:
-        if lineno is not None:
-            exc.args = ("line %d: %s" % (lineno, exc),)
+        exc.args = ("line %d: %s" % (lineno, exc),)
         raise
 
 
@@ -243,7 +243,8 @@ def _rational(text: str) -> Fraction:
         raise ParseError("bad rational number %r" % text) from None
 
 
-def _parse_monomial_block(text: str, truncation: int) -> MonomialPresentation:
+def _parse_monomial_block(text: str, truncation: int,
+                          lineno) -> MonomialPresentation:
     """`p=<int> rows=[[...]] vars v1 .. wm` (vars optional)."""
     fields = {}
     toks = text.split()
@@ -261,14 +262,14 @@ def _parse_monomial_block(text: str, truncation: int) -> MonomialPresentation:
             fields[key] = val
             i += 1
         else:
-            raise ParseError("bad monomial token %r" % tok)
+            raise ParseError("line %s: bad monomial token %r" % (lineno, tok))
     try:
         p = int(fields["p"])
         rows = json.loads(fields["rows"])
     except (KeyError, ValueError) as exc:
-        raise ParseError("bad monomial block (%s)" % exc)
+        raise ParseError("line %s: bad monomial block (%s)" % (lineno, exc))
     if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
-        raise ParseError("rows must be a list of lists")
+        raise ParseError("line %s: rows must be a list of lists" % lineno)
     names = fields.get("vars")
     if names:
         ctx = RingContext(names, divisor=(), truncation=truncation)

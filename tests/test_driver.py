@@ -304,16 +304,6 @@ def test_cli_instance_errors_name_their_line(tmp_path, text, code, message):
         code, message + "\n")
 
 
-def test_cli_truncation_error_names_a_line_only_from_the_file(tmp_path):
-    # --truncation overrides the file, so its error points at no line
-    code, text = run_cli(["monres", ex("monomial22.fol"), "--truncation", "0"])
-    assert (code, text) == (1, "error: truncation order must be >= 1\n")
-    inst = tmp_path / "zero.fol"
-    inst.write_text("ring x y\nideal x\ntruncation 0\n")
-    code, text = run_cli(["inv", str(inst)])
-    assert (code, text) == (1, "error: line 3: truncation order must be >= 1\n")
-
-
 def test_cli_blowup_failure_prints_no_partial_report(tmp_path):
     # (x) is not admissible for the center (y): the controlled transform
     # fails, and the report is printed only for a finished blow-up

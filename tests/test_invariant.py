@@ -12,7 +12,6 @@ from folprin import (
     is_admissible, parse_derivation, parse_poly, rees_from_ideal,
 )
 from folprin.driver import _rewrite_derivation
-from folprin.invariant import _worker
 
 INF = lambda c: InvValue(1, c)
 INF2 = lambda c: InvValue(2, c)
@@ -50,21 +49,13 @@ def test_plain_order():
 
 
 def test_unit_ideal_off_support():
-    inst = make(["x", "y"], [], ["1 + x"], "full")
-    vec, center = inv_at(inst)
-    assert vec == InvVector([fin(0)])
-    assert center.is_empty()
-
-
-@pytest.mark.parametrize("divisor, fol", [
-    ([], "full"), (["y"], "full"), ([], ["d/dx"]), (["x"], ["y*d/dy"])])
-def test_unit_ideal_is_one_entry_without_a_variable(divisor, fol):
-    inst = make(["x", "y"], divisor, ["1"], fol)
-    assert _worker(inst.context, inst.rees, inst.foliation, 0) == (
-        [(None, fin(0))], {})
-    vec, center = inv_at(inst)
-    assert vec == InvVector([fin(0)]) and len(vec) == 1
-    assert center.is_empty() and center.change is None
+    # a unit gives the single entry (0) and no center, whatever E and F
+    for divisor, fol, gens in [([], "full", ["1 + x"]), ([], "full", ["1"]),
+                               (["y"], "full", ["1"]), ([], ["d/dx"], ["1"]),
+                               (["x"], ["y*d/dy"], ["1"])]:
+        vec, center = inv_at(make(["x", "y"], divisor, gens, fol))
+        assert vec == InvVector([fin(0)])
+        assert center.is_empty() and center.change is None
 
 
 def test_trivial_rees():

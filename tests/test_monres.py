@@ -141,4 +141,4 @@ def test_local_model_matches_gauss_jordan(case):
         assert child.context == want.context
         assert smrank_center(child).generators == smrank_center(want).generators
     else:
-        assert child.rows == () and len(child.context.variables) == p
+        assert child.rows == ()

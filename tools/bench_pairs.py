@@ -3,16 +3,16 @@
 Run from anywhere, with two checkouts of the repository (for instance a
 `git clone` of the parent commit and one of the change):
 
-    python3 tools/bench_pairs.py PARENT CHANGE --pairs 5 --seed 9001 \\
-        --seconds 5 --out BENCH_13.json
+    python3 tools/bench_pairs.py PARENT CHANGE --pairs 10 --seed 9001 \\
+        --out BENCH_13.json
 
 For every workload and every pair k (k = 0 .. pairs-1) both checkouts run
-`perfbench/run.py --workload W --seed SEED+k --seconds S --trace T` with the
-same seed, one run at a time.  Pair k runs the parent first when k is even
+`perfbench/run.py --workload W --seed SEED+k`, at run.py's own run length
+and without tracing, with the same seed, one run at a time.  Pair k runs the parent first when k is even
 and the change first when k is odd, so drift of the host over the pairs
 does not favour either side.  The file keeps every run's result line (the
 last line of its standard output) and, per workload and metric, the median
-of each side.  Standard library only; perfbench/ is only run, never
+of each side.  A run that prints no result line stops the recording.  Standard library only; perfbench/ is only run, never
 changed.
 """
 
@@ -41,28 +41,27 @@ def commit_of(root: Path):
     return out.stdout.strip()
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float,
-             trace: int) -> dict:
-    """One perfbench run in `root`; its JSON result line, or an error
-    record when the run printed none."""
+def run_once(root: Path, workload: str, seed: int) -> dict:
+    """One perfbench run in `root` and its JSON result line; exits when the
+    run printed none."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds),
-           "--trace", str(trace)]
+           "--seed", str(seed)]
     proc = subprocess.run(cmd, cwd=str(root), capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
         return json.loads(lines[-1])
     except (IndexError, ValueError):
-        return {"error": "exit %d: %s" % (proc.returncode,
-                                          proc.stderr.strip()[-400:])}
+        sys.exit("%s seed %d in %s: exit %d, no result line: %s"
+                 % (workload, seed, root, proc.returncode,
+                    proc.stderr.strip()[-400:]))
 
 
 def medians(runs: list) -> dict:
-    """side -> metric -> median over that side's runs that printed
-    metrics (perfbench reports each as {"value": v, "unit": u})."""
+    """side -> metric -> median over that side's runs (perfbench reports
+    each metric as {"value": v, "unit": u})."""
     values = {side: {} for side in SIDES}
     for r in runs:
-        for name, m in r["result"].get("metrics", {}).items():
+        for name, m in r["result"]["metrics"].items():
             values[r["side"]].setdefault(name, []).append(m["value"])
     return {side: {name: statistics.median(v) for name, v in sorted(vals.items())}
             for side, vals in values.items()}
@@ -72,19 +71,16 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("parent", type=Path, help="checkout of the parent commit")
     ap.add_argument("change", type=Path, help="checkout of the change")
-    ap.add_argument("--pairs", type=int, default=5)
+    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=9001,
                     help="seed of pair 0; pair k uses seed + k")
-    ap.add_argument("--seconds", type=float, default=5)
-    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     doc = {
-        "command": "perfbench/run.py --seconds %s --trace %d"
-                   % (args.seconds, args.trace),
+        "command": "perfbench/run.py --workload W --seed SEED",
         "pairs": args.pairs,
         "seeds": [args.seed + k for k in range(args.pairs)],
         "commits": {s: commit_of(r) for s, r in roots.items()},
@@ -98,8 +94,7 @@ def main(argv=None) -> int:
             seed = args.seed + k
             order = SIDES if k % 2 == 0 else SIDES[::-1]
             for side in order:
-                result = run_once(roots[side], workload, seed, args.seconds,
-                                  args.trace)
+                result = run_once(roots[side], workload, seed)
                 runs.append({"pair": k, "seed": seed, "side": side,
                              "result": result})
                 print("%s pair %d %s: %s" % (workload, k, side,
