@@ -151,12 +151,11 @@ def parse_instance(text: str, truncation: Optional[int] = None) -> Instance:
             raise ParseError("missing 'ring' directive")
         return Instance(monomial.context, None, None, [], monomial=monomial)
     variables = ring_text.split()
-    div_line, div_text = only("divisor")
+    _, div_text = only("divisor")
     divisor = div_text.split() if div_text else []
-    with _at_line(div_line):
-        for v in divisor:
-            if v not in variables:
-                raise ParseError("divisor variable %r not in the ring" % v)
+    for v in divisor:
+        if v not in variables:
+            raise ParseError("divisor variable %r not in the ring" % v)
     ctx = RingContext(variables, divisor=divisor, truncation=N)
 
     ideal_line, ideal_text = only("ideal")
@@ -209,8 +208,9 @@ def parse_instance(text: str, truncation: Optional[int] = None) -> Instance:
     subspace = None
     if sub_text:
         with _at_line(sub_line):
-            subspace = IdealGens(ctx, [parse_poly(ctx, part) for part in
-                                       sub_text.split(";") if part.strip()])
+            subspace = IdealGens(ctx, [parse_poly(ctx, part)
+                                       for part in sub_text.split(";")
+                                       if part.strip()])
 
     points = []
     for n, h, rest in directives:
