@@ -11,7 +11,7 @@ polynomial cofactor.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .foliation import BudgetExhausted, Derivation, Foliation
 from .kernel import ContextMismatch, Echelon, Jet, Q, RingContext
@@ -87,15 +87,20 @@ def build_cobordant(C: Center) -> Cobordism:
         variables.append(nv)
         if ctx.is_divisor(v):
             divisor.append(nv)
-    exceptional = EXCEPTIONAL
-    k = 2
-    while exceptional in variables:
-        exceptional = "%s%d" % (EXCEPTIONAL, k)
-        k += 1
+    exceptional = _fresh(EXCEPTIONAL, variables)
     variables.append(exceptional)
     divisor.append(exceptional)
     target = RingContext(variables, divisor=divisor, truncation=ctx.truncation)
     return Cobordism(C, w, weights, target, name_map, exceptional)
+
+
+def _fresh(base: str, taken) -> str:
+    """base, or else the first of base2, base3, ... not in taken."""
+    name, k = base, 2
+    while name in taken:
+        name = "%s%d" % (base, k)
+        k += 1
+    return name
 
 
 def _substitute(B: Cobordism, f: Jet, s_shift: int) -> Jet:
@@ -126,16 +131,6 @@ def _substitute(B: Cobordism, f: Jet, s_shift: int) -> Jet:
     return Jet(tgt, out)
 
 
-def _min_s_valuation(B: Cobordism, f: Jet) -> Optional[int]:
-    vals = []
-    for e in f.terms:
-        sval = 0
-        for v, k in zip(B.source.variables, e):
-            sval += B.chart_weight(v) * k
-        vals.append(sval)
-    return min(vals) if vals else None
-
-
 def transform_element(B: Cobordism, f: Jet, mode: str = "controlled",
                       a=None) -> Tuple[Jet, int]:
     """(cofactor, extracted s-exponent).
@@ -157,7 +152,7 @@ def transform_element(B: Cobordism, f: Jet, mode: str = "controlled",
                 "multiple of 1/w for this center" % k)
         k = int(k)
     elif mode == "strict":
-        k = _min_s_valuation(B, f)
+        k = f.weighted_order(B.weights)
     else:
         raise ValueError("unknown transform mode %r" % mode)
     return _substitute(B, f, k), k
@@ -189,16 +184,8 @@ def transform_derivation(B: Cobordism, d: Derivation,
         return Derivation.zero(B.target), 0
     if d.context != B.source:
         raise ContextMismatch("derivation does not live on the blow-up source")
-    v_min = None
-    for v, g in d.coefficients.items():
-        shift = B.chart_weight(v)
-        m = _min_s_valuation(B, g)
-        if m is None:
-            continue
-        if v_min is None or m - shift < v_min:
-            v_min = m - shift
-    if v_min is None:
-        return Derivation.zero(B.target), 0
+    v_min = min(g.weighted_order(B.weights) - B.chart_weight(v)
+                for v, g in d.coefficients.items())
     if mode == "controlled":
         k = max(0, -v_min)
     elif mode == "strict":
@@ -210,11 +197,6 @@ def transform_derivation(B: Cobordism, d: Derivation,
         shift = B.chart_weight(v) - k
         coeffs[B.name_map[v]] = _substitute(B, g, shift)
     return Derivation(B.target, coeffs), k
-
-
-def _derivation_s_valuation(D: Derivation, s_index: int) -> Optional[int]:
-    vals = [e[s_index] for g in D.coefficients.values() for e in g.terms]
-    return min(vals) if vals else None
 
 
 def _divide_derivation_by_s(D: Derivation, s_index: int, m: int) -> Derivation:
@@ -230,20 +212,6 @@ def _divide_derivation_by_s(D: Derivation, s_index: int, m: int) -> Derivation:
             terms[tuple(e2)] = c
         coeffs[v] = Jet(ctx, terms)
     return Derivation(ctx, coeffs)
-
-
-def _mod_s_vectors(gens, ctx, s_index):
-    """Per generator, the dict {(variable, exponent): coeff} of terms with
-    zero s-exponent."""
-    out = []
-    for D in gens:
-        vec = {}
-        for v, g in D.coefficients.items():
-            for e, c in g.terms.items():
-                if e[s_index] == 0:
-                    vec[(v, e)] = c
-        out.append(vec)
-    return out
 
 
 def _rational_dependency(vectors):
@@ -281,12 +249,16 @@ def transform_foliation(B: Cobordism, F: Foliation, mode: str = "controlled") ->
             gens.append(D)
     if mode != "strict":
         return Foliation(B.target, gens)
-    s_index = B.target.index(B.exceptional)
+    s = B.exceptional
+    s_index = B.target.index(s)
     budget = B.target.truncation * max(1, len(gens))
     for _ in range(budget + 1):
         if not gens:
             break
-        combo = _rational_dependency(_mod_s_vectors(gens, B.target, s_index))
+        # each generator's terms at s = 0, keyed by (variable, exponent)
+        combo = _rational_dependency(
+            [{(v, e): c for v, g in D.coefficients.items()
+              for e, c in g.restrict(s).terms.items()} for D in gens])
         if combo is None:
             break  # independent modulo s: saturation is stable
         E = Derivation.zero(B.target)
@@ -296,8 +268,8 @@ def transform_foliation(B: Cobordism, F: Foliation, mode: str = "controlled") ->
         if E.is_zero():
             del gens[j_drop]
             continue
-        m = _derivation_s_valuation(E, s_index)
-        if m is None or m < 1:
+        m = min(g.var_order(s) for g in E.coefficients.values())
+        if m < 1:
             raise BudgetExhausted("s-saturation failed to make progress")
         gens[j_drop] = _divide_derivation_by_s(E, s_index, m)
     else:
@@ -309,9 +281,10 @@ class EtaleChart:
     """The chart W_i with residual group mu_{w_i}.
 
     Substitution from the ambient: x_i -> sbar^{w_i}, x_j -> sbar^{w_j}
-    xbar_j for the other center variables, untouched otherwise.  Barred
-    names carry a '~' suffix, the chart exceptional coordinate is 's~'.
-    Group weights: -1 on s~ and w_j on each xbar_j.
+    xbar_j for the other center variables, untouched otherwise.  Names come
+    from `_chart_names`: barred names carry a '~' suffix, and the chart
+    exceptional coordinate sbar is 's~' unless that name is taken.
+    Group weights: -1 on sbar and w_j on each xbar_j.
     """
 
     __slots__ = ("cobordism", "variable", "group_order", "context",
@@ -322,19 +295,10 @@ class EtaleChart:
         if variable not in weights:
             raise ValueError("%r is not a center variable" % variable)
         src = cobordism.source
-        sbar = cobordism.exceptional + "~"
-        name_map = {}
-        variables = [sbar]
-        divisor = [sbar]
-        for v in src.variables:
-            if v == variable:
-                name_map[v] = sbar
-                continue
-            nv = v + "~" if v in weights else v
-            name_map[v] = nv
-            variables.append(nv)
-            if src.is_divisor(v):
-                divisor.append(nv)
+        name_map = _chart_names(cobordism, variable)
+        sbar = name_map[variable]
+        variables = [sbar] + [name_map[v] for v in src.variables if v != variable]
+        divisor = [sbar] + [name_map[v] for v in src.divisor if v != variable]
         # chart images have degree up to max(w_i); scale the precision so
         # substitution through them stays faithful to the source precision
         scale = max(weights.values())
@@ -360,7 +324,7 @@ class EtaleChart:
         raise AttributeError("EtaleChart is immutable")
 
     def group_weights(self) -> dict:
-        out = {self.cobordism.exceptional + "~": -1}
+        out = {self.name_map[self.variable]: -1}
         for v, wv in self.cobordism.weights.items():
             if v != self.variable:
                 out[self.name_map[v]] = wv
@@ -382,6 +346,17 @@ class EtaleChart:
         return "\n".join(lines)
 
 
+def _chart_names(B: Cobordism, variable: str) -> dict:
+    """Source variable -> name in the chart of the center variable
+    `variable`: the other center variables get a '~', the rest keep their
+    names, and `variable` names the chart's exceptional coordinate, the
+    cobordism's exceptional name with a '~', made fresh against the others."""
+    names = {v: v + "~" if v in B.weights else v
+             for v in B.source.variables if v != variable}
+    sbar = _fresh(B.exceptional + "~", names.values())
+    return {v: names.get(v, sbar) for v in B.source.variables}
+
+
 def etale_chart(B: Cobordism, i) -> EtaleChart:
     """Chart of the i-th center variable (index or name)."""
     if isinstance(i, int):
@@ -397,7 +372,7 @@ def chart_transform_derivation(chart: EtaleChart, d: Derivation) -> Derivation:
     if d.context != B.source:
         raise ContextMismatch("derivation does not live on the chart's source")
     ctx = chart.context
-    sbar = B.exceptional + "~"
+    sbar = chart.name_map[chart.variable]
     w1 = chart.group_order
     out = Derivation.zero(ctx)
     for v, g in d.coefficients.items():

@@ -21,8 +21,8 @@ from math import isqrt
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .blowup import (
-    EtaleChart, build_cobordant, etale_chart, transform_foliation,
-    transform_rees,
+    EtaleChart, _chart_names, build_cobordant, etale_chart,
+    transform_foliation, transform_rees,
 )
 from .foliation import (
     BudgetExhausted, Derivation, Foliation, INFINITE, NotLogarithmic,
@@ -30,7 +30,8 @@ from .foliation import (
 )
 from .invariant import CertificateFailure, PointedInstance, check_transverse, inv_at
 from .kernel import (
-    IdealGens, Jet, ParseError, Q, RingContext, TruncationOverflow, parse_poly,
+    DEFAULT_TRUNCATION, IdealGens, Jet, ParseError, Q, RingContext,
+    TruncationOverflow, parse_poly,
 )
 from .monres import MonomialPresentation, SmRankFailure, monomial_resolve, resolve_report
 from .rees import (
@@ -138,9 +139,19 @@ def parse_instance(text: str, truncation: Optional[int] = None) -> Instance:
         if h not in known:
             raise ParseError("line %d: unknown directive %r" % (n, h))
 
-    _, trunc_text = only("truncation")
-    N = truncation if truncation is not None else (
-        int(trunc_text) if trunc_text else 16)
+    trunc_line, trunc_text = only("truncation")
+    N = truncation
+    if N is None and trunc_text:
+        with _at_line(trunc_line):
+            try:
+                N = int(trunc_text)
+            except ValueError:
+                N = 0
+            if N < 1:
+                raise ParseError("truncation must be a positive integer, got %r"
+                                 % trunc_text)
+    elif N is None:
+        N = DEFAULT_TRUNCATION
 
     mono_line, mono_text = only("monomial")
     monomial = _parse_monomial_block(mono_text, N, mono_line) if mono_text else None
@@ -344,41 +355,26 @@ def track_point(B, point) -> List[ChartPoint]:
     on_center = all(pt[v] == 0 for v in cvars)
     out: List[ChartPoint] = []
     for ci in charts:
-        wi = B.weights[ci]
+        names = _chart_names(B, ci)
         if on_center:
-            coords = {"s~": Q(0)}
-            for cj in cvars:
-                if cj != ci:
-                    coords[cj + "~"] = Q(0)
-            for v in src.variables:
-                if v not in cvars:
-                    coords[v] = pt[v]
-            out.append(ChartPoint(ci, coords))
-            continue
-        if pt[ci] == 0:
+            sbar = Q(0)
+        elif pt[ci] == 0:
             continue  # the point misses this chart
-        sbar = _rational_root(pt[ci], wi)
-        if sbar is None:
-            out.append(ChartPoint(ci, None,
-                                  skipped="no rational %d-th root of %s"
-                                  % (wi, pt[ci])))
-            continue
-        coords = {"s~": sbar}
-        ok = True
-        for cj in cvars:
-            if cj == ci:
+        else:
+            sbar = _rational_root(pt[ci], B.weights[ci])
+            if sbar is None:
+                out.append(ChartPoint(ci, None,
+                                      skipped="no rational %d-th root of %s"
+                                      % (B.weights[ci], pt[ci])))
                 continue
-            wj = B.weights[cj]
-            if sbar == 0:
-                ok = pt[cj] == 0
-                coords[cj + "~"] = Q(0)
-            else:
-                coords[cj + "~"] = pt[cj] / sbar ** wj
+        coords = {names[ci]: sbar}
+        for cj in cvars:
+            if cj != ci:
+                coords[names[cj]] = pt[cj] / sbar ** B.weights[cj] if sbar else Q(0)
         for v in src.variables:
             if v not in cvars:
                 coords[v] = pt[v]
-        if ok:
-            out.append(ChartPoint(ci, coords))
+        out.append(ChartPoint(ci, coords))
     return out
 
 
@@ -386,17 +382,10 @@ def track_point(B, point) -> List[ChartPoint]:
 # the principalization loop
 
 def _unit_times_divisor_monomial(f: Jet) -> bool:
-    """f = (monomial in divisor variables) * unit, exactly."""
-    ctx = f.context
-    if f.is_zero():
-        return False
-    div_idx = [i for i, v in enumerate(ctx.variables) if ctx.is_divisor(v)]
-    mins = {i: min(e[i] for e in f.terms) for i in div_idx}
-    for e in f.terms:
-        if all(e[i] == mins[i] for i in div_idx) and \
-           all(e[i] == 0 for i in range(len(ctx.variables)) if i not in div_idx):
-            return True
-    return False
+    """f = (monomial in divisor variables) * unit, exactly: f has the term
+    prod z^{ord_z f} over the divisor variables z."""
+    return not f.is_zero() and f.coefficient(
+        {z: f.var_order(z) for z in f.context.divisor}) != 0
 
 
 def _is_principalized(R: ReesAlgebra, mode: str) -> bool:
@@ -647,3 +636,7 @@ def _dispatch(args, out) -> int:
 
 def main() -> None:
     sys.exit(cli_main())
+
+
+if __name__ == "__main__":
+    main()

@@ -32,7 +32,8 @@ from math import lcm
 from typing import Iterable, Mapping, Optional
 
 from .kernel import (
-    ContextMismatch, IdealGens, Jet, Q, RingContext, linsolve, rank,
+    ContextMismatch, IdealGens, Jet, Q, RingContext, linsolve, parse_poly,
+    rank,
 )
 
 MEMBERSHIP_SLACK = 4
@@ -481,32 +482,6 @@ def f_infty(F: Foliation, R):
 # ---------------------------------------------------------------------------
 # rank tests
 
-def _log_basis_matrix(F: Foliation):
-    """Rows = generators, columns = log-basis elements (d/dv for free v,
-    z d/dz for divisorial z); entries are jets."""
-    ctx = F.context
-    rows = []
-    for d in F.generators:
-        row = []
-        for v in ctx.variables:
-            c = d.coefficient(v)
-            if ctx.is_divisor(v):
-                # c must be z * h; extract h
-                if c.var_order(v) == 0:
-                    raise NotLogarithmic("generator %s not logarithmic in %s" % (d, v))
-                i = ctx.index(v)
-                shifted = {}
-                for e, a in c.terms.items():
-                    ee = list(e)
-                    ee[i] -= 1
-                    shifted[tuple(ee)] = a
-                row.append(Jet(ctx, shifted))
-            else:
-                row.append(c)
-        rows.append(row)
-    return rows
-
-
 def _eval_jet(f: Jet, point) -> Fraction:
     acc = Q(0)
     vals = [Q(point.get(v, 0)) if isinstance(point, dict) else Q(point[i])
@@ -521,11 +496,15 @@ def _eval_jet(f: Jet, point) -> Fraction:
 
 
 def log_rank_at(F: Foliation) -> int:
-    """Rank at the origin of F in the log basis: the rank of the constant
-    terms of its log-basis matrix.  F lies in the free module D^log, so by
-    Nakayama's lemma F = D^log exactly when this rank is the number of
-    variables."""
-    return rank([[f.constant_term() for f in row] for row in _log_basis_matrix(F)])
+    """Rank at the origin of F in the log basis (d/dv for free v, z d/dz
+    for divisorial z): the rank of the generators' constant terms in that
+    basis, which are the constant term of a d/dv coefficient and the z-term
+    of a d/dz one.  F lies in the free module D^log, so by Nakayama's lemma
+    F = D^log exactly when this rank is the number of variables."""
+    ctx = F.context
+    return rank([[d.coefficient(v).coefficient({v: 1}) if ctx.is_divisor(v)
+                  else d.coefficient(v).constant_term() for v in ctx.variables]
+                 for d in F.generators])
 
 
 def log_smooth_at(F: Foliation, generic_rank: int) -> bool:
@@ -546,7 +525,6 @@ def sm_rank_at(F: Foliation, point) -> int:
 
 def parse_derivation(ctx: RingContext, text: str) -> Derivation:
     """Syntax: `<poly> * d/d<var>` terms joined by `+` (or `-`)."""
-    from .kernel import parse_poly
     coeffs = {}
     text = text.strip()
     # split on top-level + and - while respecting parentheses

@@ -233,6 +233,13 @@ class Jet:
         i = self.context.index(name)
         return min((e[i] for e in self.terms), default=None)
 
+    def weighted_order(self, weights: Mapping[str, Rational]):
+        """Least sum weights[v] * e_v over the terms (variables without a
+        weight count 0); None for the zero jet."""
+        idx = [(self.context.index(v), w) for v, w in weights.items()]
+        return min((sum(w * e[i] for i, w in idx) for e in self.terms),
+                   default=None)
+
     # arithmetic --------------------------------------------------------
 
     def _check(self, other: "Jet"):

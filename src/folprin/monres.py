@@ -16,12 +16,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple
 
+from .blowup import build_cobordant, transform_foliation
 from .foliation import (
     BudgetExhausted, Derivation, Foliation, is_f_invariant, log_smooth_at,
     sm_rank_at,
 )
-from .kernel import Echelon, IdealGens, Jet, Q, RingContext, rank
-from .rees import rees_from_ideal
+from .kernel import (
+    DEFAULT_TRUNCATION, Echelon, IdealGens, Jet, Q, RingContext, rank,
+)
+from .rees import Center, rees_from_ideal
 
 
 class MonomialPresentation:
@@ -59,7 +62,7 @@ class MonomialPresentation:
 
     @staticmethod
     def from_matrix(rows: Sequence[Sequence], p: int = 0,
-                    truncation: int = 16) -> "MonomialPresentation":
+                    truncation: int = DEFAULT_TRUNCATION) -> "MonomialPresentation":
         """Fresh context v1..vp, w1..wm (no divisor), m from the rows."""
         rows = [list(r) for r in rows]
         m = len(rows[0]) if rows else 0
@@ -124,7 +127,6 @@ class ResolveStep:
 
     index: int
     label: str                     # branch path of sample points, "" = root
-    presentation: MonomialPresentation
     center_variables: Tuple[str, ...]
     target_variables: Tuple[str, ...]  # coordinates of the sample points
     substitutions: Tuple[str, ...]  # chart substitution strings
@@ -188,28 +190,6 @@ def _local_model(M: MonomialPresentation, pattern: dict) -> MonomialPresentation
         truncation=M.context.truncation)
 
 
-def _assert_same_matrix(M: MonomialPresentation, B, F2: Foliation):
-    """Exact coefficient equality of the transformed generators with the
-    original presentation, column by column."""
-    tgt = B.target
-    expected = []
-    for v in M.free_variables:
-        expected.append(Derivation.partial(tgt, B.name_map.get(v, v)))
-    for row in M.rows:
-        coeffs = {}
-        for a, w in zip(row, M.w_variables):
-            if a != 0:
-                nw = B.name_map.get(w, w)
-                coeffs[nw] = Jet.variable(tgt, nw) * a
-        expected.append(Derivation(tgt, coeffs))
-    got = list(F2.generators)
-    want = [d for d in expected if not d.is_zero()]
-    if got != want:
-        raise SmRankFailure(
-            "transformed generators differ from the original matrix:\n"
-            "got  %s\nwant %s" % (got, want), None)
-
-
 def monomial_resolve(M: MonomialPresentation) -> List[ResolveStep]:
     """The smoothing loop: blow up the sm-rank center with all weights 1,
     transform, certify the strict sm-rank increase on the sampled
@@ -218,9 +198,6 @@ def monomial_resolve(M: MonomialPresentation) -> List[ResolveStep]:
     rank(matrix) rounds along every branch; the zero matrix yields the
     empty sequence.
     """
-    from .blowup import build_cobordant, transform_foliation
-    from .rees import Center
-
     steps: List[ResolveStep] = []
     worklist: List[Tuple[MonomialPresentation, str, int]] = [(M, "", 0)]
     guard = 0
@@ -239,8 +216,8 @@ def monomial_resolve(M: MonomialPresentation) -> List[ResolveStep]:
         F = monomial_to_foliation(cur)
         if not is_f_invariant(F, rees_from_ideal(center_ideal)):
             raise SmRankFailure("center is not invariant for %s" % cur, None)
-        cvars = sorted((_monomial_variable(g) for g in center_ideal.generators),
-                       key=cur.context.variables.index)
+        cvars = [v for v in cur.context.variables
+                 if Jet.variable(cur.context, v) in center_ideal.generators]
         center = Center(cur.context,
                         transverse=[(v, Q(1)) for v in cvars
                                     if not cur.context.is_divisor(v)],
@@ -248,7 +225,11 @@ def monomial_resolve(M: MonomialPresentation) -> List[ResolveStep]:
                                     if cur.context.is_divisor(v)])
         B = build_cobordant(center)
         F2 = transform_foliation(B, F, mode="controlled")
-        _assert_same_matrix(cur, B, F2)
+        want = F.rename(B.target, B.name_map)
+        if F2.generators != want.generators:
+            raise SmRankFailure(
+                "transformed generators differ from the original matrix:\n"
+                "got  %s\nwant %s" % (F2, want), None)
         # deterministic samples: every 0/1 pattern of the primed center
         # variables except all-zero (the punctured locus), s = 0, the rest 0
         patterns = list(_bit_patterns(len(cvars)))
@@ -286,7 +267,7 @@ def monomial_resolve(M: MonomialPresentation) -> List[ResolveStep]:
         subs = ["%s -> s^%d * %s" % (v, B.weights[v], B.name_map[v])
                 for v in cvars]
         steps.append(ResolveStep(
-            index=len(steps), label=label, presentation=cur,
+            index=len(steps), label=label,
             center_variables=tuple(cvars),
             target_variables=tuple(B.target.variables),
             substitutions=tuple(subs),
@@ -294,14 +275,6 @@ def monomial_resolve(M: MonomialPresentation) -> List[ResolveStep]:
             continued_at=tuple(continued)))
         worklist.extend(children)
     return steps
-
-
-def _monomial_variable(g: Jet) -> str:
-    """The variable of a degree-one monomial generator."""
-    (exp, c), = g.terms.items()
-    if sum(exp) != 1:
-        raise ValueError("center generator %s is not a coordinate" % g)
-    return g.context.variables[exp.index(1)]
 
 
 def resolve_report(steps: Iterable[ResolveStep]) -> str:

@@ -197,20 +197,10 @@ def center_graded_piece(C: Center, b):
     every monomial must have weighted degree sum exp_v / weight_v >= b over
     the center variables (jets must already be in chart coordinates)."""
     b = Q(b)
-    wts = C.weights()
-    idx = [(C.context.index(v), w) for v, w in wts.items()]
+    inverse = {v: 1 / w for v, w in C.weights().items()}
 
     def member(f: Jet) -> bool:
-        if b <= 0:
-            return True
-        for e in f.terms:
-            total = Q(0)
-            for i, w in idx:
-                if e[i]:
-                    total += Q(e[i]) / w
-            if total < b:
-                return False
-        return True
+        return b <= 0 or f.is_zero() or f.weighted_order(inverse) >= b
 
     return member
 

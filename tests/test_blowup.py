@@ -207,3 +207,36 @@ def test_rational_dependency_first_dependent_vector_has_coefficient_one():
 def test_rational_dependency_zero_vector():
     assert _rational_dependency([{"a": Q(1)}, {}]) == {1: Q(1)}
     assert _rational_dependency([{}, {"a": Q(1)}]) == {0: Q(1)}
+
+
+def test_strict_foliation_saturates_dependencies_modulo_s():
+    # the strict transforms d/dx', d/dx' + s^2*y'^2*d/dy' and 2*d/dx' are
+    # dependent modulo s: one round divides d/dx' + s^2*y'^2*d/dy' - d/dx'
+    # by s^2, and another drops 2*d/dx' - 2*d/dx' = 0
+    ctx = ctx2()
+    B = build_cobordant(Center(ctx, transverse=[("x", Q(1)), ("y", Q(1))]))
+    gens = [parse_derivation(ctx, t)
+            for t in ("d/dx", "d/dx + y^2*d/dy", "2*d/dx")]
+    t = B.target
+    assert transform_derivation(B, gens[1], "strict")[0] == \
+        parse_derivation(t, "d/dx' + s^2*y'^2*d/dy'")
+    Fs = transform_foliation(B, Foliation(ctx, gens), "strict")
+    assert Fs.generators == (parse_derivation(t, "d/dx'"),
+                             parse_derivation(t, "y'^2*d/dy'"))
+
+
+def test_chart_exceptional_name_avoids_barred_center_variables():
+    # a center variable named s is barred to s~ in the x-chart, so the
+    # chart's exceptional coordinate takes the next fresh name
+    ctx = RingContext(["x", "s"], truncation=8)
+    B = build_cobordant(Center(ctx, transverse=[("x", Q(2)), ("s", Q(3))]))
+    assert B.exceptional == "s"
+    ch = etale_chart(B, "x")
+    assert ch.context.variables == ("s~2", "s~")
+    assert ch.group_weights() == {"s~2": -1, "s~": 2}
+    assert ch.pull(parse_poly(ctx, "x^2 + s^3")) == \
+        parse_poly(ch.context, "s~2^6 + s~2^6*s~^3")
+    dx = chart_transform_derivation(ch, parse_derivation(ctx, "d/dx"))
+    assert dx == parse_derivation(ch.context, "1/3*s~2*d/ds~2 - 2/3*s~*d/ds~")
+    # without a clash the names are the usual ones
+    assert etale_chart(B, "s").context.variables == ("s~", "x~")

@@ -3,13 +3,16 @@
 import io
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from folprin import (
-    Center, Q, RingContext, RunConfig, build_cobordant, cli_main,
-    parse_instance, principalize, track_point,
+    Center, Jet, Q, RingContext, RunConfig, build_cobordant, cli_main,
+    etale_chart, parse_instance, principalize, track_point,
 )
 from folprin.driver import _rational_root, _unit_times_divisor_monomial
 from folprin.kernel import ParseError, parse_poly
@@ -104,6 +107,18 @@ def test_track_irrational_root_reported():
     assert pts[0].coordinates["s~"] == 2
 
 
+def test_track_point_keys_are_the_chart_variables():
+    # the cobordism's exceptional variable is s2 (s is taken), so the
+    # charts' exceptional coordinate is s2~
+    ctx = RingContext(["x", "y", "s"], truncation=8)
+    B = build_cobordant(Center(ctx, transverse=[("x", Q(2)), ("y", Q(3))]))
+    pts = track_point(B, {"x": Q(8), "y": Q(4), "s": Q(1)})
+    assert [p.chart for p in pts] == ["x", "y"]
+    assert pts[0].coordinates == {"s2~": Q(2), "y~": Q(1), "s": Q(1)}
+    for p in pts:
+        assert set(p.coordinates) == set(etale_chart(B, p.chart).context.variables)
+
+
 def test_rational_root_helper():
     assert _rational_root(Q(8, 27), 3) == Q(2, 3)
     assert _rational_root(Q(-8), 3) == -2
@@ -141,6 +156,41 @@ def test_unit_times_divisor_monomial():
     assert _unit_times_divisor_monomial(P("3 + x"))
     assert not _unit_times_divisor_monomial(P("x*z"))
     assert not _unit_times_divisor_monomial(P("z + x"))
+
+
+def _reference_unit_times_divisor_monomial(f):
+    """Some term is the product of the divisor variables at their least
+    exponents, with every other exponent 0."""
+    ctx = f.context
+    if f.is_zero():
+        return False
+    div_idx = [i for i, v in enumerate(ctx.variables) if ctx.is_divisor(v)]
+    mins = {i: min(e[i] for e in f.terms) for i in div_idx}
+    return any(all(e[i] == mins[i] for i in div_idx) and
+               all(e[i] == 0 for i in range(len(e)) if i not in div_idx)
+               for e in f.terms)
+
+
+@st.composite
+def divisor_jets(draw):
+    """Jets on x y z with random divisor flags, half of them a divisor
+    monomial times a jet with a constant term."""
+    divisor = sorted(draw(st.sets(st.sampled_from("xyz"))))
+    ctx = RingContext(["x", "y", "z"], divisor=divisor, truncation=6)
+    terms = {tuple(draw(st.integers(0, 2)) for _ in range(3)):
+             draw(st.integers(-2, 2)) for _ in range(draw(st.integers(0, 4)))}
+    f = Jet(ctx, terms)
+    if draw(st.booleans()):
+        mono = {z: draw(st.integers(0, 2)) for z in divisor}
+        f = Jet.monomial(ctx, mono) * (f + draw(st.integers(1, 3)))
+    return f
+
+
+@settings(max_examples=300, deadline=None)
+@given(divisor_jets())
+def test_unit_times_divisor_monomial_matches_reference(f):
+    assert _unit_times_divisor_monomial(f) == \
+        _reference_unit_times_divisor_monomial(f)
 
 
 # -- the loop ----------------------------------------------------------------
@@ -302,6 +352,44 @@ def test_cli_instance_errors_name_their_line(tmp_path, text, code, message):
     inst.write_text(text)
     assert run_cli(["inv", str(inst), "--truncation", "16"]) == (
         code, message + "\n")
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_cli_bad_truncation_directive_names_its_line(tmp_path, value):
+    inst = tmp_path / "trunc.fol"
+    inst.write_text("ring x y\nideal x\ntruncation %s\n" % value)
+    assert run_cli(["inv", str(inst)]) == (
+        1, "error: line 3: truncation must be a positive integer, got %r\n"
+        % value)
+
+
+def test_cli_truncation_option_overrides_the_directive(tmp_path):
+    inst = tmp_path / "trunc.fol"
+    inst.write_text("ring x y\nideal x\ntruncation abc\n")
+    assert run_cli(["inv", str(inst), "--truncation", "4"])[0] == 0
+    assert run_cli(["inv", str(inst), "--truncation", "0"]) == (
+        1, "error: truncation order must be >= 1\n")
+
+
+def test_cli_blowup_chart_with_a_center_variable_named_s(tmp_path):
+    inst = tmp_path / "s.fol"
+    inst.write_text("ring x s\nideal x^2 + s^3\ncenter x@2 s@3\n")
+    code, text = run_cli(["blowup", str(inst), "--chart", "x"])
+    assert code == 0
+    assert text.endswith("x -> s~2^3\ns -> s~2^2*s~\nmu 3: s~ -> 2, s~2 -> -1\n")
+
+
+def test_python_m_driver_runs_the_cli():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.abspath(src), os.environ.get("PYTHONPATH")])))
+    runs = [subprocess.run([sys.executable, "-m", module, "inv",
+                            ex("xy_divisor.fol")],
+                           capture_output=True, text=True, env=env)
+            for module in ("folprin", "folprin.driver")]
+    assert runs[0].returncode == 0 and runs[0].stdout
+    assert (runs[1].stdout, runs[1].returncode) == \
+        (runs[0].stdout, runs[0].returncode)
 
 
 def test_cli_blowup_failure_prints_no_partial_report(tmp_path):

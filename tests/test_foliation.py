@@ -12,6 +12,7 @@ from folprin import (
     parse_derivation, parse_poly, rees_from_ideal, sm_rank_at,
 )
 from folprin import foliation
+from folprin.kernel import rank
 from folprin.foliation import (
     in_jet_span, jet_module_coeffs, log_rank_at, membership_degree,
     rees_piece_gens,
@@ -228,8 +229,8 @@ def _equals_dlog_by_membership(F):
 
 
 @st.composite
-def log_foliations(draw):
-    divisor = draw(st.sampled_from([[], ["y"]]))
+def log_foliations(draw, divisors=([], ["y"])):
+    divisor = draw(st.sampled_from(divisors))
     ctx = RingContext(["x", "y"], divisor=divisor, truncation=5)
     small = st.integers(-2, 2)
     gens = []
@@ -253,6 +254,30 @@ def test_log_rank_decides_equality_with_dlog(F):
     have full rank."""
     n = len(F.context.variables)
     assert (log_rank_at(F) == n) == _equals_dlog_by_membership(F)
+
+
+def _reference_log_rank(F):
+    """The log-basis matrix built by dividing each divisor coefficient by
+    its variable, and the rank of its constant terms."""
+    ctx = F.context
+    rows = []
+    for d in F.generators:
+        row = []
+        for v in ctx.variables:
+            c = d.coefficient(v)
+            if ctx.is_divisor(v):
+                i = ctx.index(v)
+                c = Jet(ctx, {e[:i] + (e[i] - 1,) + e[i + 1:]: a
+                              for e, a in c.terms.items()})
+            row.append(c.constant_term())
+        rows.append(row)
+    return rank(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(log_foliations(divisors=([], ["x"], ["y"], ["x", "y"])))
+def test_log_rank_matches_the_log_basis_matrix(F):
+    assert log_rank_at(F) == _reference_log_rank(F)
 
 
 def test_sm_rank_and_log_smooth():

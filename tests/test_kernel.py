@@ -258,6 +258,19 @@ def test_restrict_sets_a_variable_to_zero(case):
     assert (f * g).restrict(v) == f.restrict(v) * g.restrict(v)
 
 
+@given(jets(CTX3, max_terms=6),
+       st.dictionaries(st.sampled_from(CTX3.variables),
+                       st.one_of(st.integers(-3, 6), fractions)))
+def test_weighted_order_is_the_least_weighted_degree(f, weights):
+    degrees = [sum(weights.get(v, 0) * k for v, k in zip(CTX3.variables, e))
+               for e in f.terms]
+    got = f.weighted_order(weights)
+    assert got == min(degrees, default=None)
+    if degrees and all(type(w) is int for w in weights.values()):
+        assert type(got) is int         # an exponent of s, for the blow-up
+    assert Jet.zero(CTX3).weighted_order(weights) is None
+
+
 # -- substitution ------------------------------------------------------------
 
 def test_substitute_composes():

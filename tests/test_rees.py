@@ -69,6 +69,10 @@ def test_graded_piece_and_admissibility():
     assert center_graded_piece(C, Q(1))(J("x^2"))
     assert center_graded_piece(C, Q(1))(J("y"))
     assert not center_graded_piece(C, Q(1))(J("x"))
+    assert center_graded_piece(C, Q(3, 2))(J("x*y + x^3"))    # both exactly 3/2
+    assert not center_graded_piece(C, Q(3, 2))(J("x*y + x^2"))
+    assert center_graded_piece(C, Q(5))(Jet.zero(CTX))
+    assert center_graded_piece(C, Q(0))(J("1 + x"))
     R = rees_from_ideal(IdealGens(CTX, [J("x^2 + y")]))
     assert is_admissible(R, C)
     C3 = Center(CTX, transverse=[("x", Q(3)), ("y", Q(1))])
