@@ -173,8 +173,8 @@ def _reference_unit_times_divisor_monomial(f):
 
 @st.composite
 def divisor_jets(draw):
-    """Jets on x y z with random divisor flags, half of them a divisor
-    monomial times a jet with a constant term."""
+    """Jets f on x y z with random divisor flags, half of them replaced by
+    a divisor monomial times f + c for a constant c in 1..3."""
     divisor = sorted(draw(st.sets(st.sampled_from("xyz"))))
     ctx = RingContext(["x", "y", "z"], divisor=divisor, truncation=6)
     terms = {tuple(draw(st.integers(0, 2)) for _ in range(3)):
