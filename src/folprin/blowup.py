@@ -26,14 +26,15 @@ class Cobordism:
     Center variables x_i (weight a_i) become primed variables x_i' in the
     target; every other variable keeps its name; the fresh exceptional
     variable s is divisor-flagged and placed last.  The substitution is
-    x_i -> s^{w_i} x_i' with w_i = w / a_i an exact integer.
+    x_i -> s^{w_i} x_i' with w_i = w / a_i an exact integer.  Every derived
+    name, here and in the charts, is picked by `_pick_names`.
     """
 
     __slots__ = ("center", "source", "target", "w", "weights", "name_map",
                  "exceptional")
 
     def __init__(self, center: Center, w: int, weights: dict, target: RingContext,
-                 name_map: dict, exceptional: str = EXCEPTIONAL):
+                 name_map: dict, exceptional: str):
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "source", center.context)
         object.__setattr__(self, "target", target)
@@ -45,13 +46,17 @@ class Cobordism:
     def __setattr__(self, *a):
         raise AttributeError("Cobordism is immutable")
 
-    def chart_weight(self, v: str) -> int:
-        """w_i for a center variable, 0 otherwise."""
-        return self.weights.get(v, 0)
-
-    def pullback(self, f: Jet, s_shift: int = 0) -> Jet:
-        """sigma^*(f) divided by s^{s_shift}; raises on non-divisibility."""
-        return _substitute(self, f, s_shift)
+    def chart_names(self, variable: str) -> dict:
+        """Source variable -> name in the chart of the center variable
+        `variable`: the other center variables are barred with a '~', the
+        rest keep their names, and `variable` names the chart's exceptional
+        coordinate, the exceptional name with a '~'."""
+        src = self.source.variables
+        barred = [v for v in src if v in self.weights and v != variable]
+        picks = _pick_names([v for v in src if v not in self.weights],
+                            [v + "~" for v in barred] + [self.exceptional + "~"])
+        names = dict(zip(barred + [variable], picks))
+        return {v: names.get(v, v) for v in src}
 
     def __str__(self):
         subs = ", ".join("%s -> %s^%d*%s" % (v, self.exceptional, self.weights[v], self.name_map[v])
@@ -72,35 +77,37 @@ def build_cobordant(C: Center) -> Cobordism:
         w = w * w.denominator
     w = int(w)
     weights = {}
-    name_map = {}
     for v, a in (list(C.transverse) + list(C.invariant) + list(C.divisorial)):
         wi = Q(w) / a
         if wi.denominator != 1:
             raise ValueError("chart weight w/%s is not an integer" % a)
         weights[v] = int(wi)
-        name_map[v] = v + "'"
-    variables = []
-    divisor = []
-    for v in ctx.variables:
-        nv = name_map.get(v, v)
-        name_map.setdefault(v, nv)
-        variables.append(nv)
-        if ctx.is_divisor(v):
-            divisor.append(nv)
-    exceptional = _fresh(EXCEPTIONAL, variables)
-    variables.append(exceptional)
-    divisor.append(exceptional)
+    primed = [v for v in ctx.variables if v in weights]
+    *picks, exceptional = _pick_names(
+        [v for v in ctx.variables if v not in weights],
+        [v + "'" for v in primed] + [EXCEPTIONAL])
+    name_map = {v: v for v in ctx.variables}
+    name_map.update(zip(primed, picks))
+    variables = [name_map[v] for v in ctx.variables] + [exceptional]
+    divisor = [name_map[v] for v in ctx.divisor] + [exceptional]
     target = RingContext(variables, divisor=divisor, truncation=ctx.truncation)
     return Cobordism(C, w, weights, target, name_map, exceptional)
 
 
-def _fresh(base: str, taken) -> str:
-    """base, or else the first of base2, base3, ... not in taken."""
-    name, k = base, 2
-    while name in taken:
-        name = "%s%d" % (base, k)
-        k += 1
-    return name
+def _pick_names(kept, wanted) -> list:
+    """The derived names for `wanted`, in order: each wanted name, or else
+    the first of name2, name3, ... that no kept name and no earlier pick
+    already has."""
+    taken = set(kept)
+    picks = []
+    for base in wanted:
+        name, k = base, 2
+        while name in taken:
+            name = "%s%d" % (base, k)
+            k += 1
+        taken.add(name)
+        picks.append(name)
+    return picks
 
 
 def _substitute(B: Cobordism, f: Jet, s_shift: int) -> Jet:
@@ -119,7 +126,7 @@ def _substitute(B: Cobordism, f: Jet, s_shift: int) -> Jet:
         for v, k in zip(src.variables, e):
             if k == 0:
                 continue
-            sval += B.chart_weight(v) * k
+            sval += B.weights.get(v, 0) * k
             new_e[tgt.index(B.name_map[v])] = k
         if sval - s_shift < 0:
             raise ValueError(
@@ -184,7 +191,7 @@ def transform_derivation(B: Cobordism, d: Derivation,
         return Derivation.zero(B.target), 0
     if d.context != B.source:
         raise ContextMismatch("derivation does not live on the blow-up source")
-    v_min = min(g.weighted_order(B.weights) - B.chart_weight(v)
+    v_min = min(g.weighted_order(B.weights) - B.weights.get(v, 0)
                 for v, g in d.coefficients.items())
     if mode == "controlled":
         k = max(0, -v_min)
@@ -194,7 +201,7 @@ def transform_derivation(B: Cobordism, d: Derivation,
         raise ValueError("unknown transform mode %r" % mode)
     coeffs = {}
     for v, g in d.coefficients.items():
-        shift = B.chart_weight(v) - k
+        shift = B.weights.get(v, 0) - k
         coeffs[B.name_map[v]] = _substitute(B, g, shift)
     return Derivation(B.target, coeffs), k
 
@@ -282,8 +289,7 @@ class EtaleChart:
 
     Substitution from the ambient: x_i -> sbar^{w_i}, x_j -> sbar^{w_j}
     xbar_j for the other center variables, untouched otherwise.  Names come
-    from `_chart_names`: barred names carry a '~' suffix, and the chart
-    exceptional coordinate sbar is 's~' unless that name is taken.
+    from `Cobordism.chart_names`.
     Group weights: -1 on sbar and w_j on each xbar_j.
     """
 
@@ -295,7 +301,7 @@ class EtaleChart:
         if variable not in weights:
             raise ValueError("%r is not a center variable" % variable)
         src = cobordism.source
-        name_map = _chart_names(cobordism, variable)
+        name_map = cobordism.chart_names(variable)
         sbar = name_map[variable]
         variables = [sbar] + [name_map[v] for v in src.variables if v != variable]
         divisor = [sbar] + [name_map[v] for v in src.divisor if v != variable]
@@ -346,22 +352,9 @@ class EtaleChart:
         return "\n".join(lines)
 
 
-def _chart_names(B: Cobordism, variable: str) -> dict:
-    """Source variable -> name in the chart of the center variable
-    `variable`: the other center variables get a '~', the rest keep their
-    names, and `variable` names the chart's exceptional coordinate, the
-    cobordism's exceptional name with a '~', made fresh against the others."""
-    names = {v: v + "~" if v in B.weights else v
-             for v in B.source.variables if v != variable}
-    sbar = _fresh(B.exceptional + "~", names.values())
-    return {v: names.get(v, sbar) for v in B.source.variables}
-
-
-def etale_chart(B: Cobordism, i) -> EtaleChart:
-    """Chart of the i-th center variable (index or name)."""
-    if isinstance(i, int):
-        i = B.center.variables()[i]
-    return EtaleChart(B, i)
+def etale_chart(B: Cobordism, variable: str) -> EtaleChart:
+    """Chart of the center variable `variable`."""
+    return EtaleChart(B, variable)
 
 
 def chart_transform_derivation(chart: EtaleChart, d: Derivation) -> Derivation:

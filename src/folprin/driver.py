@@ -21,8 +21,7 @@ from math import isqrt
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .blowup import (
-    EtaleChart, _chart_names, build_cobordant, etale_chart,
-    transform_foliation, transform_rees,
+    Cobordism, build_cobordant, etale_chart, transform_foliation, transform_rees,
 )
 from .foliation import (
     BudgetExhausted, Derivation, Foliation, INFINITE, NotLogarithmic,
@@ -333,29 +332,23 @@ def _rational_root(c: Fraction, n: int) -> Optional[Fraction]:
     return sign * Q(pr, qr)
 
 
-def track_point(B, point) -> List[ChartPoint]:
+def track_point(B: Cobordism, point: dict) -> List[ChartPoint]:
     """Preimages of a source point in the blow-up charts.
 
-    For each chart (one per center variable, or the single chart when an
-    etale chart is given) the substitution x_i = sbar^{w_i},
-    x_j = sbar^{w_j} xbar_j is solved for the barred coordinates.  Points
-    on the center have the whole exceptional fibre as preimage; the
-    deterministic sample is the chart origin (sbar = 0, barred zero).
-    Irrational roots are reported as skipped, never silently dropped.
+    For each chart (one per center variable) the substitution
+    x_i = sbar^{w_i}, x_j = sbar^{w_j} xbar_j is solved for the barred
+    coordinates.  Points on the center have the whole exceptional fibre as
+    preimage; the deterministic sample is the chart origin (sbar = 0,
+    barred zero).  Irrational roots are reported as skipped, never silently
+    dropped.
     """
-    if isinstance(B, EtaleChart):
-        charts = [B.variable]
-        B = B.cobordism
-    else:
-        charts = list(B.center.variables())
     src = B.source
-    pt = {v: Q(point.get(v, 0)) if isinstance(point, dict) else Q(point[i])
-          for i, v in enumerate(src.variables)}
+    pt = {v: Q(point.get(v, 0)) for v in src.variables}
     cvars = B.center.variables()
     on_center = all(pt[v] == 0 for v in cvars)
     out: List[ChartPoint] = []
-    for ci in charts:
-        names = _chart_names(B, ci)
+    for ci in cvars:
+        names = B.chart_names(ci)
         if on_center:
             sbar = Q(0)
         elif pt[ci] == 0:

@@ -65,10 +65,7 @@ class MonomialPresentation:
                     truncation: int = DEFAULT_TRUNCATION) -> "MonomialPresentation":
         """Fresh context v1..vp, w1..wm (no divisor), m from the rows."""
         rows = [list(r) for r in rows]
-        m = len(rows[0]) if rows else 0
-        names = ["v%d" % (i + 1) for i in range(p)]
-        names += ["w%d" % (k + 1) for k in range(m)]
-        ctx = RingContext(names, divisor=(), truncation=truncation)
+        ctx = _fresh_context(p, len(rows[0]) if rows else 0, truncation)
         return MonomialPresentation(ctx, p, rows)
 
     @property
@@ -92,6 +89,13 @@ class MonomialPresentation:
             " ".join(self.context.variables))
 
     __repr__ = __str__
+
+
+def _fresh_context(p: int, m: int, truncation: int) -> RingContext:
+    """v1..vp, w1..wm, no divisor."""
+    names = ["v%d" % (i + 1) for i in range(p)]
+    names += ["w%d" % (k + 1) for k in range(m)]
+    return RingContext(names, divisor=(), truncation=truncation)
 
 
 def monomial_to_foliation(M: MonomialPresentation) -> Foliation:
@@ -174,7 +178,8 @@ def _local_model(M: MonomialPresentation, pattern: dict) -> MonomialPresentation
     column is a fresh smooth field (p grows by their count); the others
     vanish there (a row's lead is its lowest column) and form the new matrix
     over the still-vanishing columns.  Later steps read only p and that row
-    space, so the rows are the echelon's primitive integer rows.
+    space, so the rows are the echelon's primitive integer rows.  The child
+    keeps every still-vanishing column, with or without a row on it.
     """
     wvars = M.w_variables
     unit = [k for k, w in enumerate(wvars) if pattern.get(w, 0) != 0]
@@ -185,9 +190,9 @@ def _local_model(M: MonomialPresentation, pattern: dict) -> MonomialPresentation
     u = len(unit)
     rows = [[basis.rows[lead].get(j, 0) for j in range(u, len(order))]
             for lead in sorted(basis.rows) if lead >= u]
-    return MonomialPresentation.from_matrix(
-        rows, p=M.p + sum(lead < u for lead in basis.rows),
-        truncation=M.context.truncation)
+    p = M.p + sum(lead < u for lead in basis.rows)
+    ctx = _fresh_context(p, len(wvars) - u, M.context.truncation)
+    return MonomialPresentation(ctx, p, rows)
 
 
 def monomial_resolve(M: MonomialPresentation) -> List[ResolveStep]:
@@ -264,8 +269,8 @@ def monomial_resolve(M: MonomialPresentation) -> List[ResolveStep]:
                     raise SmRankFailure(
                         "full sm-rank yet not log-smooth at %s" % (point,),
                         point)
-        subs = ["%s -> s^%d * %s" % (v, B.weights[v], B.name_map[v])
-                for v in cvars]
+        subs = ["%s -> %s^%d * %s" % (v, B.exceptional, B.weights[v],
+                                      B.name_map[v]) for v in cvars]
         steps.append(ResolveStep(
             index=len(steps), label=label,
             center_variables=tuple(cvars),

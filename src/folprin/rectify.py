@@ -67,9 +67,6 @@ class CoordinateChange:
         """Rewrite a function of the old coordinates in the new ones."""
         return f.substitute(self.inverse, self.context)
 
-    def pull_jet(self, f: Jet) -> Jet:
-        return f.substitute(self.images, self.context)
-
     def push_derivation(self, d: Derivation) -> Derivation:
         coeffs = {}
         for v in self.context.variables:
@@ -162,17 +159,6 @@ class RectifiedChart:
     @property
     def images(self):
         return self.change.images
-
-    def lift(self, f: Jet) -> Jet:
-        """Lift a function on H = V(x1) into the kernel of the rectified
-        derivation: substitute each hyperplane variable by its y_hat."""
-        ctx = self.context
-        imgs = {}
-        for v in f.context.variables:
-            if v == self.x1:
-                raise ValueError("lift input must live on the hyperplane")
-            imgs[v] = self.images[v]
-        return f.substitute(imgs, ctx)
 
 
 def rectify_coordinate(d: Derivation, x1: str, budget: int = None) -> RectifiedChart:

@@ -312,9 +312,6 @@ class InvVector:
     def __setattr__(self, *a):
         raise AttributeError("InvVector is immutable")
 
-    def padded(self, n: int):
-        return self.entries + (TOP,) * (n - len(self.entries))
-
     def __eq__(self, other):
         return isinstance(other, InvVector) and compare_inv(self, other) == 0
 

@@ -1,14 +1,16 @@
 """Cobordant blow-ups: golden transforms, ledgers, and chart reports."""
 
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from folprin import (
     Center, Derivation, Foliation, Jet, Q, ReesAlgebra, RingContext,
     build_cobordant, chart_transform_derivation, etale_chart, parse_derivation,
-    parse_poly, transform_derivation, transform_element, transform_foliation,
-    transform_rees,
+    parse_poly, track_point, transform_derivation, transform_element,
+    transform_foliation, transform_rees,
 )
 from folprin.blowup import EXCEPTIONAL, _rational_dependency
 
@@ -41,7 +43,8 @@ def test_pullback_identity():
     C = Center(ctx, transverse=[("x", Q(1)), ("y", Q(2))])
     B = build_cobordant(C)
     f = parse_poly(ctx, "x^2*y + y^3")
-    g = B.pullback(f)
+    g, k = transform_element(B, f, "controlled", a=0)
+    assert k == 0
     # x -> s^2 x', y -> s y'
     assert g == parse_poly(B.target, "s^5*x'^2*y' + s^3*y'^3")
 
@@ -240,3 +243,88 @@ def test_chart_exceptional_name_avoids_barred_center_variables():
     assert dx == parse_derivation(ch.context, "1/3*s~2*d/ds~2 - 2/3*s~*d/ds~")
     # without a clash the names are the usual ones
     assert etale_chart(B, "s").context.variables == ("s~", "x~")
+
+
+# -- naming: derived names never clash with the names they are picked against
+
+NAME_POOL = ["x", "y", "x'", "y'", "x~", "y~", "s", "s~", "s2", "s~2", "x'2",
+             "s2~"]
+
+
+@st.composite
+def _named_blowups(draw):
+    """A ring named from NAME_POOL, a center, a jet and a point on it."""
+    names = draw(st.lists(st.sampled_from(NAME_POOL), min_size=1, max_size=4,
+                          unique=True))
+    n = len(names)
+    divisor = draw(st.sets(st.integers(0, n - 1)))
+    center = draw(st.dictionaries(st.integers(0, n - 1), st.integers(1, 2),
+                                  min_size=1))
+    terms = draw(st.lists(st.tuples(st.tuples(*[st.integers(0, 2)] * n),
+                                    st.integers(-3, 3)), max_size=3))
+    point = draw(st.lists(st.sampled_from([0, 0, 1, 2, 4, -1]),
+                          min_size=n, max_size=n))
+    return names, divisor, center, terms, point
+
+
+def _run_blowup(names, divisor, center, terms, point):
+    ctx = RingContext(names, divisor=[names[i] for i in divisor], truncation=6)
+    C = Center(ctx, transverse=[(names[i], w) for i, w in center.items()
+                                if i not in divisor],
+               divisorial=[(names[i], w) for i, w in center.items()
+                           if i in divisor])
+    f = Jet.zero(ctx)
+    for e, c in terms:
+        f = f + Jet.monomial(ctx, dict(zip(names, e)), c)
+    B = build_cobordant(C)
+    charts = [etale_chart(B, names[i]) for i in sorted(center)]
+    pulls = [(ch.pull(f), ch.report(), ch.group_weights()) for ch in charts]
+    tracked = track_point(B, dict(zip(names, point)))
+    return B, charts, pulls, tracked
+
+
+def _rename_report(text, rename):
+    """The report with every variable renamed; the mu line, which is sorted
+    by name, as a set of entries."""
+    text = re.sub(r"[A-Za-z][\w'~]*", lambda m: rename.get(m.group(), m.group()),
+                  text)
+    *lines, mu = text.split("\n")
+    head, _, entries = mu.partition(": ")
+    return lines, head, set(entries.split(", "))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_named_blowups())
+@example((["x", "y", "y~"], set(), {0: 1, 1: 1}, [((2, 0, 0), 1)], [0, 0, 0]))
+@example((["x", "x'"], set(), {0: 1}, [((1, 3), 1)], [1, 1]))
+def test_derived_names_match_a_clash_free_run(case):
+    names, divisor, center, terms, point = case
+    clean = ["a%d" % i for i in range(len(names))]
+    B, charts, pulls, tracked = _run_blowup(*case)
+    B0, charts0, pulls0, tracked0 = _run_blowup(clean, divisor, center, terms,
+                                                point)
+    source = dict(zip(clean, names))
+    target = dict(zip(B0.target.variables, B.target.variables))
+    assert len(set(B.target.variables)) == len(B.target.variables)
+    assert target[B0.exceptional] == B.exceptional
+    assert {source[v]: target[u] for v, u in B0.name_map.items()} == B.name_map
+    assert {source[v]: w for v, w in B0.weights.items()} == B.weights
+    assert {target[v] for v in B0.target.divisor} == B.target.divisor
+    for ch, ch0, (g, text, mu), (g0, text0, mu0) in zip(charts, charts0,
+                                                          pulls, pulls0):
+        rename = dict(zip(ch0.context.variables, ch.context.variables))
+        assert len(set(rename.values())) == len(rename)
+        assert g0.rename(ch.context, rename) == g
+        assert {rename[v]: w for v, w in mu0.items()} == mu
+        assert _rename_report(text0, {**source, **rename}) == \
+            _rename_report(text, {})
+    tracked0 = {source[p.chart]: p for p in tracked0}
+    assert set(tracked0) == {p.chart for p in tracked}
+    for p in tracked:
+        p0 = tracked0[p.chart]
+        assert p.skipped == p0.skipped
+        if p.coordinates is not None:
+            rename = dict(zip(etale_chart(B0, p0.chart).context.variables,
+                              etale_chart(B, p.chart).context.variables))
+            assert {rename[v]: c for v, c in p0.coordinates.items()} == \
+                p.coordinates

@@ -302,6 +302,33 @@ def test_cli_monres():
     assert code == 0 and "blow up (w1, w2)" in text
 
 
+def test_cli_chart_names_avoid_ring_variables(tmp_path):
+    # y is barred to y~, which the ring already has: it takes y~2
+    inst = tmp_path / "bar.fol"
+    inst.write_text("ring x y y~\nideal x^2 + y^3\ncenter x@1 y@1\n")
+    code, text = run_cli(["blowup", "--chart", "x", str(inst)])
+    assert code == 0
+    assert "x -> s~\ny -> s~*y~2\ny~ -> y~\nmu 1: s~ -> -1, y~2 -> 1" in text
+
+
+def test_cli_primed_names_avoid_ring_variables(tmp_path):
+    # x is primed to x', which the ring already has: it takes x'2
+    inst = tmp_path / "prime.fol"
+    inst.write_text("ring x x'\nideal x^2 + x*x'^3\ncenter x@1\n")
+    code, text = run_cli(["blowup", str(inst)])
+    assert code == 0
+    assert text.splitlines()[0] == "cobordism(w=1; x -> s^1*x'2)"
+
+
+def test_cli_monres_names_the_exceptional_variable(tmp_path):
+    # s is a free variable, so the exceptional variable is s2
+    inst = tmp_path / "mono.fol"
+    inst.write_text("monomial p=1 rows=[[1,-1]] vars s w1 w2\n")
+    code, text = run_cli(["monres", str(inst)])
+    assert code == 0
+    assert "  w1 -> s2^1 * w1'\n  w2 -> s2^1 * w2'\n" in text
+
+
 def test_cli_error_exit_codes(tmp_path):
     bad = tmp_path / "bad.fol"
     bad.write_text("ring x\nideal x +\n")

@@ -142,3 +142,15 @@ def test_local_model_matches_gauss_jordan(case):
         assert smrank_center(child).generators == smrank_center(want).generators
     else:
         assert child.rows == ()
+    unit = [w for w in M.w_variables if pattern.get(w, 0) != 0]
+    assert len(child.w_variables) == len(M.w_variables) - len(unit)
+
+
+def test_local_model_without_rows_keeps_its_w_columns():
+    # w1 is a unit at the point and the row leads there, so no row is left;
+    # the child still models a point in 3 variables: v1 and the vanishing
+    # w-columns of w2 and w3
+    child = _local_model(MonomialPresentation.from_matrix([[1, 0, 1]]),
+                         {"w1": 1})
+    assert (child.p, child.rows) == (1, ())
+    assert child.context.variables == ("v1", "w1", "w2")

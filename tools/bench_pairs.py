@@ -11,8 +11,9 @@ For every workload and every pair k (k = 0 .. pairs-1) both checkouts run
 and without tracing, with the same seed, one run at a time.  Pair k runs the parent first when k is even
 and the change first when k is odd, so drift of the host over the pairs
 does not favour either side.  The file keeps every run's result line (the
-last line of its standard output) and, per workload and metric, the median
-of each side.  A run that prints no result line stops the recording.  Standard library only; perfbench/ is only run, never
+last line of its standard output) with the run's wall seconds, start to
+exit, and, per workload and metric, the median of each side.  The wall
+seconds show how long the harness itself takes per workload.  A run that prints no result line stops the recording.  Standard library only; perfbench/ is only run, never
 changed.
 """
 
@@ -25,6 +26,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 WORKLOADS = ("drop", "inv", "jets", "principalize")
@@ -41,15 +43,17 @@ def commit_of(root: Path):
     return out.stdout.strip()
 
 
-def run_once(root: Path, workload: str, seed: int) -> dict:
-    """One perfbench run in `root` and its JSON result line; exits when the
-    run printed none."""
+def run_once(root: Path, workload: str, seed: int):
+    """One perfbench run in `root`: its JSON result line and its wall
+    seconds; exits when the run printed no result line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed)]
+    t0 = time.perf_counter()
     proc = subprocess.run(cmd, cwd=str(root), capture_output=True, text=True)
+    wall_s = round(time.perf_counter() - t0, 3)
     lines = proc.stdout.strip().splitlines()
     try:
-        return json.loads(lines[-1])
+        return json.loads(lines[-1]), wall_s
     except (IndexError, ValueError):
         sys.exit("%s seed %d in %s: exit %d, no result line: %s"
                  % (workload, seed, root, proc.returncode,
@@ -94,11 +98,11 @@ def main(argv=None) -> int:
             seed = args.seed + k
             order = SIDES if k % 2 == 0 else SIDES[::-1]
             for side in order:
-                result = run_once(roots[side], workload, seed)
+                result, wall_s = run_once(roots[side], workload, seed)
                 runs.append({"pair": k, "seed": seed, "side": side,
-                             "result": result})
-                print("%s pair %d %s: %s" % (workload, k, side,
-                                             json.dumps(result)[:160]),
+                             "result": result, "wall_s": wall_s})
+                print("%s pair %d %s (%.1f s): %s"
+                      % (workload, k, side, wall_s, json.dumps(result)[:160]),
                       file=sys.stderr, flush=True)
         doc["workloads"][workload] = {"medians": medians(runs), "runs": runs}
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n",
