@@ -7,13 +7,15 @@ sheaf, involutive up to truncation.
 
 Module membership (involutivity, F-invariance, stabilization of derivative
 chains) is decided by exact linear algebra over Q on monomial multiples up
-to a degree bound, never by Groebner bases.  Every such verdict is therefore
-a "to precision D" verdict; the bound is chosen as the degree of the data
-plus a slack, capped by the remaining truncation budget, and chain
-iterations that exhaust the budget raise BudgetExhausted instead of
-guessing.  The one exception is whether F equals D^log: by Nakayama's lemma
-that is the rank of F's constant terms in the log basis (`log_rank_at`),
-an exact power-series verdict that reads only degree 0.
+to a degree bound, never by Groebner bases; the integer Macaulay system of
+one (generators, degree) is built once and reused by consecutive tests.
+Every such verdict is therefore a "to precision D" verdict; the bound is
+chosen as the degree of the data plus a slack, capped by the remaining
+truncation budget, and chain iterations that exhaust the budget raise
+BudgetExhausted instead of guessing.  The one exception is whether F
+equals D^log: by Nakayama's lemma that is the rank of F's constant terms
+in the log basis (`log_rank_at`), an exact power-series verdict that
+reads only degree 0.
 
 ord_F, R^infty, F-invariance, the coefficient algebra and the maximal
 contact search walk F-derivatives with `derivative_levels`: level 0 is
@@ -26,14 +28,15 @@ last letter.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import lcm
+from operator import add
 from typing import Iterable, Mapping, Optional
 
 from .kernel import (
-    ContextMismatch, IdealGens, Jet, Q, RingContext, linsolve, parse_poly,
-    rank,
+    ContextMismatch, IdealGens, Jet, Q, RingContext, _integer_terms, linsolve,
+    parse_poly, rank,
 )
 
 MEMBERSHIP_SLACK = 4
@@ -225,14 +228,50 @@ class Foliation:
 # membership by linear algebra
 
 def _monomials_upto(nvars: int, degree: int):
-    out = []
-    for d in range(degree + 1):
-        for c in itertools.combinations_with_replacement(range(nvars), d):
-            e = [0] * nvars
-            for i in c:
-                e[i] += 1
-            out.append(tuple(e))
-    return out
+    """(|m|, m) for the exponents m of degree <= `degree`, by degree."""
+    idx = range(nvars)
+    return [(d, tuple(map(c.count, idx))) for d in range(degree + 1)
+            for c in combinations_with_replacement(idx, d)]
+
+
+def _components(obj, ctx):
+    """A Derivation's (variable, nonzero coefficient) pairs, or (None, jet)."""
+    if isinstance(obj, Derivation):
+        return [(v, obj.coefficients[v]) for v in ctx.variables
+                if v in obj.coefficients]
+    return [(None, obj)]
+
+
+_last_system = None     # ((gens, degree), system) of the last build
+
+
+def _macaulay_system(gens, ctx, degree):
+    """(row index keyed by (component, exponent), integer columns, their
+    (generator i, monomial m) keys, each generator's denominator).  A
+    nonzero generator g has one column per m with |m| + ord(g) <= degree,
+    in `_monomials_upto` order; its cells are g's numerators over its common
+    denominator, each written once (e -> e + m is injective)."""
+    index, columns, col_keys, dens = {}, [], [], []
+    monos = _monomials_upto(len(ctx.variables), degree)
+    for i, g in enumerate(gens):
+        comps = [(comp, _integer_terms(c)) for comp, c in _components(g, ctx)]
+        dens.append(lcm(*(d for _, (_, d) in comps)))
+        comps = [(comp, [(k, e, c * (dens[i] // d)) for k, e, c in ints])
+                 for comp, (ints, d) in comps if ints]
+        gord = min((ints[0][0] for _, ints in comps), default=degree + 1)
+        for dm, m in monos:
+            if dm + gord > degree:
+                break
+            col = {}
+            for comp, ints in comps:
+                for k, e, c in ints:
+                    if k + dm > degree:
+                        break
+                    key = (comp, tuple(map(add, e, m)))
+                    col[index.setdefault(key, len(index))] = c
+            columns.append(col)
+            col_keys.append((i, m))
+    return index, columns, col_keys, dens
 
 
 def jet_module_coeffs(target, gens, degree):
@@ -241,58 +280,32 @@ def jet_module_coeffs(target, gens, degree):
 
     `target` and each generator may be a Jet (ideal membership) or a
     Derivation (submodule membership, componentwise).  Returns the list of
-    multiplier jets, or None when no solution exists at this precision.
+    multiplier jets, or None when no solution exists at this precision (with
+    no nonzero generator: when the target has a term of degree <= min(degree,
+    N)).  Consecutive calls with equal (gens, degree) reuse one system.
     """
-    if not gens:
-        return [] if target.is_zero() else None
-    ctx = gens[0].context
-    nvars = len(ctx.variables)
+    global _last_system
+    ctx = (gens[0] if gens else target).context
     degree = min(degree, ctx.truncation)
-    monos = _monomials_upto(nvars, degree)
-    mono_index = {}
-
-    def row_of(comp, exp):
-        key = (comp, exp)
-        if key not in mono_index:
-            mono_index[key] = len(mono_index)
-        return mono_index[key]
-
-    def components(obj):
-        if isinstance(obj, Derivation):
-            return [(v, obj.coefficient(v)) for v in ctx.variables]
-        return [(None, obj)]
-
-    columns = []
-    col_keys = []
-    for i, g in enumerate(gens):
-        comps = components(g)
-        gord = min((c.order() for _, c in comps if not c.is_zero()), default=0)
-        for m in monos:
-            if sum(m) + (gord or 0) > degree:
-                continue
-            col = {}
-            for comp, cjet in comps:
-                for e, c in cjet.terms.items():
-                    tot = tuple(a + b for a, b in zip(e, m))
-                    if sum(tot) > degree:
-                        continue
-                    r = row_of(comp, tot)
-                    col[r] = col.get(r, Q(0)) + c
-            columns.append(col)
-            col_keys.append((i, m))
-    rhs = {}
-    for comp, cjet in components(target):
+    key = (tuple(gens), degree)
+    if _last_system is None or _last_system[0] != key:
+        _last_system = (key, _macaulay_system(key[0], ctx, degree))
+    index, columns, col_keys, dens = _last_system[1]
+    rhs, nrows = {}, len(index)
+    for comp, cjet in _components(target, ctx):
         for e, c in cjet.terms.items():
-            if sum(e) > degree:
-                continue
-            rhs[row_of(comp, e)] = c
-    sol = linsolve(columns, rhs, len(mono_index))
+            if sum(e) <= degree:
+                r = index.get((comp, e))
+                if r is None:
+                    r, nrows = nrows, nrows + 1
+                rhs[r] = c
+    sol = linsolve(columns, rhs, nrows)
     if sol is None:
         return None
     mults = [{} for _ in gens]
     for (i, m), x in zip(col_keys, sol):
         if x:
-            mults[i][m] = x
+            mults[i][m] = x * dens[i]
     return [Jet(ctx, terms) for terms in mults]
 
 

@@ -769,11 +769,12 @@ def inverse(matrix):
 def linsolve(columns, rhs, nrows):
     """Solve  sum_j x_j * columns[j] = rhs  over Q.
 
-    `columns` is a list of sparse columns (dict row->Fraction), `rhs` a
-    sparse column, and `nrows` the number of rows.  Returns a list of
-    Fractions or None when inconsistent.  Underdetermined systems return
+    `columns` is a list of sparse columns (dict row -> int or Fraction),
+    `rhs` a sparse column, and `nrows` the number of rows.  Returns a list
+    of Fractions or None when inconsistent.  Underdetermined systems return
     one solution (free unknowns set to 0): the pivots are the columns that
     lie outside the span of the earlier ones, so the answer is unique.
+    Membership passes integer columns and rescales the multipliers itself.
 
     The augmented rows go through one `Echelon`; the rhs sits in column
     `ncols`, so a kept row led there reads 0 = c != 0 and the answer is

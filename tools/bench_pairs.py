@@ -12,9 +12,11 @@ and without tracing, with the same seed, one run at a time.  Pair k runs the par
 and the change first when k is odd, so drift of the host over the pairs
 does not favour either side.  The file keeps every run's result line (the
 last line of its standard output) with the run's wall seconds, start to
-exit, and, per workload and metric, the median of each side.  The wall
-seconds show how long the harness itself takes per workload.  A run that prints no result line stops the recording.  Standard library only; perfbench/ is only run, never
-changed.
+exit, and, per workload and metric, the median of each side.  Its
+`wall_s` block holds each side's total and median wall seconds per
+workload, also printed when the recording ends: they show how long the
+harness itself takes.  A run that prints no result line stops the
+recording.  Standard library only; perfbench/ is only run, never changed.
 """
 
 from __future__ import annotations
@@ -71,6 +73,16 @@ def medians(runs: list) -> dict:
             for side, vals in values.items()}
 
 
+def wall_seconds(runs: list) -> dict:
+    """side -> {"total", "median"} of that side's wall seconds."""
+    out = {}
+    for side in SIDES:
+        walls = [r["wall_s"] for r in runs if r["side"] == side]
+        out[side] = {"total": round(sum(walls), 3),
+                     "median": round(statistics.median(walls), 3)}
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("parent", type=Path, help="checkout of the parent commit")
@@ -104,9 +116,14 @@ def main(argv=None) -> int:
                 print("%s pair %d %s (%.1f s): %s"
                       % (workload, k, side, wall_s, json.dumps(result)[:160]),
                       file=sys.stderr, flush=True)
-        doc["workloads"][workload] = {"medians": medians(runs), "runs": runs}
+        doc["workloads"][workload] = {"medians": medians(runs), "runs": runs,
+                                      "wall_s": wall_seconds(runs)}
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n",
                         encoding="utf-8")
+    for workload, entry in doc["workloads"].items():
+        print("%s wall s: %s" % (workload, "; ".join(
+            "%s total %.1f, median %.1f" % (side, w["total"], w["median"])
+            for side, w in entry["wall_s"].items())), file=sys.stderr)
     return 0
 
 
